@@ -6,7 +6,6 @@ stdout; diagnostics and progress go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,11 +57,10 @@ def _byte_int(text: str) -> int:
 
 
 def _measure_name(text: str) -> str:
-    name = text.strip().lower()
-    if name not in MEASURE_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown measure {text!r}, expected one of: {', '.join(MEASURE_NAMES)}")
-    return name
+    try:
+        return DistanceMeasure(text.strip().lower()).name
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _measure_list(text: str) -> list[str]:
@@ -97,60 +95,32 @@ def _add_measure_flags(sp) -> None:
                     help="Minkowski order (default 3)")
 
 
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    """One invocation's resolved options; defaults fill flags a subcommand lacks.
+def pipeline_from_args(args: argparse.Namespace,
+                       meta: DescriptorMeta | None = None) -> PipelineConfig:
+    """Extraction parameters from the flags.
 
-    Defaults: sym8 family, 3 levels, 64 retained magnitudes, Manhattan
-    distance, 3-pixel median window, 256x256 frame.
+    A stored gallery's `meta` supplies family, levels and k; otherwise the
+    flags do, and `PipelineConfig`'s defaults fill what a subcommand lacks.
     """
+    if meta is None:
+        chosen = {name: getattr(args, name, None) for name in ("family", "levels", "k")}
+    else:
+        chosen = {"family": meta.family, "levels": meta.levels, "k": meta.k}
+    pre = PreprocessConfig(median_window=args.median_window,
+                           target_size=tuple(args.target_size),
+                           slant_enabled=not args.no_slant,
+                           binarize_threshold=args.binarize_threshold)
+    return PipelineConfig(preprocess=pre,
+                          **{name: v for name, v in chosen.items() if v is not None})
 
-    family: WaveletFamily = WaveletFamily.SYM8
-    levels: int = 3
-    k: int = 64
-    measure: DistanceMeasure = DistanceMeasure("manhattan")
-    median_window: int = 3
-    target_size: tuple[int, int] = (256, 256)
-    slant_enabled: bool = True
-    binarize_threshold: int | None = None
-    gallery_path: str | None = None
-    seed: int = 0
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        base = cls()
-        name = getattr(args, "measure", None)
-        measure = base.measure if name is None else DistanceMeasure(
-            name, getattr(args, "minkowski_p", DEFAULT_MINKOWSKI_P))
-        size = getattr(args, "target_size", None)
-        return cls(family=getattr(args, "family", None) or base.family,
-                   levels=getattr(args, "levels", None) or base.levels,
-                   k=getattr(args, "k", None) or base.k,
-                   measure=measure,
-                   median_window=getattr(args, "median_window", base.median_window),
-                   target_size=base.target_size if size is None else (size[0], size[1]),
-                   slant_enabled=not getattr(args, "no_slant", False),
-                   binarize_threshold=getattr(args, "binarize_threshold", None),
-                   gallery_path=getattr(args, "gallery", None),
-                   seed=getattr(args, "seed", base.seed))
-
-    def with_meta(self, meta: DescriptorMeta) -> "CliConfig":
-        """Adopt the extraction parameters a stored gallery was built with."""
-        return dataclasses.replace(self, family=meta.family, levels=meta.levels, k=meta.k)
-
-    def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig(median_window=self.median_window,
-                                target_size=self.target_size,
-                                slant_enabled=self.slant_enabled,
-                                binarize_threshold=self.binarize_threshold)
-
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(self.family, self.levels, self.k, self.preprocess_config())
+def measure_from_args(args: argparse.Namespace, name: str | None = None) -> DistanceMeasure:
+    """The `--measure` (or the given `name`) at the `--minkowski-p` order."""
+    return DistanceMeasure(name or args.measure, args.minkowski_p)
 
 
 def _cmd_enroll(args) -> int:
-    cfg = CliConfig.from_args(args)
-    root = Path(cfg.gallery_path)
+    root = Path(args.gallery)
     gallery = None
     if (root / MANIFEST_NAME).exists():
         gallery = load_gallery(root)
@@ -160,8 +130,7 @@ def _cmd_enroll(args) -> int:
             raise MetaMismatch(
                 f"flags request {requested} but gallery holds "
                 f"({meta.family.value}, {meta.levels}, {meta.k})")
-        cfg = cfg.with_meta(meta)
-    config = cfg.pipeline()
+    config = pipeline_from_args(args, None if gallery is None else gallery.meta)
     if gallery is None:
         gallery = new_gallery(config)
     for path in args.images:
@@ -180,12 +149,11 @@ def _dump_subbands(img, config: PipelineConfig, out_dir: Path) -> None:
 
 
 def _cmd_identify(args) -> int:
-    cfg = CliConfig.from_args(args)
-    gallery = load_gallery(cfg.gallery_path)
-    cfg = cfg.with_meta(gallery.meta)
-    config = cfg.pipeline()
+    measure = measure_from_args(args)
+    gallery = load_gallery(args.gallery)
+    config = pipeline_from_args(args, gallery.meta)
     img = load_image(args.image)
-    result = identify(gallery, img, cfg.measure, config)
+    result = identify(gallery, img, measure, config)
     if args.dump_subbands:
         _dump_subbands(img, config, Path(args.dump_subbands))
     print(f"{result.identity} {result.distance:.6f}")
@@ -193,22 +161,21 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = CliConfig.from_args(args)
-    gallery = load_gallery(cfg.gallery_path)
-    cfg = cfg.with_meta(gallery.meta)
+    measure = measure_from_args(args)
+    gallery = load_gallery(args.gallery)
+    config = pipeline_from_args(args, gallery.meta)
     img = load_image(args.image)
-    result = verify(gallery, args.identity, img, cfg.measure, args.threshold, cfg.pipeline())
+    result = verify(gallery, args.identity, img, measure, args.threshold, config)
     print(f"{'genuine' if result.genuine else 'forgery'} {result.distance:.6f}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
-    cfg = CliConfig.from_args(args)
-    measures = [DistanceMeasure(name, args.minkowski_p)
-                for name in (args.measures or MEASURE_NAMES)]
+    measures = [measure_from_args(args, name) for name in (args.measures or MEASURE_NAMES)]
     families = args.families or list(WaveletFamily)
-    report = evaluate(dataset, measures, families, args.train_k, cfg.seed, cfg.pipeline())
+    report = evaluate(dataset, measures, families, args.train_k, args.seed,
+                      pipeline_from_args(args))
     proto = report.protocol
     test_k = "ragged" if proto.test_k is None else proto.test_k
     print(f"split: train_k={proto.train_k} test_k={test_k} seed={proto.seed}", file=sys.stderr)

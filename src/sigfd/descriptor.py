@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadLength, DegenerateDescriptor, FormatError, IoError
+from .errors import (BadLength, BadLevels, DegenerateDescriptor, FormatError,
+                     IoError)
 from .imaging import GrayImage, PreprocessConfig, preprocess
 from .wavelet import WaveletDecomposition, WaveletFamily, dwt2_multi
 
@@ -52,27 +53,27 @@ class FourierDescriptor:
 
 
 @dataclasses.dataclass(frozen=True)
-class SimilarityTransform:
-    """Rotation (radians), scale, translation, and scan-start shift."""
-
-    rotation: float = 0.0
-    scale: float = 1.0
-    translation: tuple[float, float] = (0.0, 0.0)
-    start_shift: int = 0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
-
-
-@dataclasses.dataclass(frozen=True)
 class PipelineConfig:
-    """End-to-end extraction parameters."""
+    """End-to-end extraction parameters, checked against each other when built.
+
+    The preprocessed frame must support `levels` halvings, and its coarsest
+    plane of N = (W / 2^levels) * (H / 2^levels) coefficients must leave
+    2 <= k <= N - 2 magnitudes to retain.
+    """
 
     family: WaveletFamily = WaveletFamily.SYM8
     levels: int = 3
     k: int = 64
     preprocess: PreprocessConfig = PreprocessConfig()
+
+    def __post_init__(self):
+        w, h = self.preprocess.target_size
+        levels = self.levels
+        if not isinstance(levels, int) or levels < 1 or w % (1 << levels) or h % (1 << levels):
+            raise BadLevels(f"{w}x{h} target does not support {levels!r} halvings")
+        n = (w >> levels) * (h >> levels)
+        if not 2 <= self.k <= n - 2:
+            raise BadLength(f"need 2 <= k <= N-2, got k={self.k!r} with N={n}")
 
     @property
     def meta(self) -> DescriptorMeta:
@@ -143,12 +144,16 @@ def normalize_descriptor(spectrum: FourierCoefficients, k: int,
                              DescriptorMeta(family, levels, k))
 
 
-def extract_features(img: GrayImage, config: PipelineConfig = PipelineConfig()) -> FourierDescriptor:
-    """Full chain: preprocess, decompose, transform, normalize."""
-    pre = preprocess(img, config.preprocess)
+def describe(pre: GrayImage, config: PipelineConfig) -> FourierDescriptor:
+    """Decompose, transform and normalize an already-preprocessed image."""
     dec = dwt2_multi(pre, config.family, config.levels)
     spectrum = dft(serialize_coefficients(dec))
     return normalize_descriptor(spectrum, config.k, family=config.family, levels=config.levels)
+
+
+def extract_features(img: GrayImage, config: PipelineConfig = PipelineConfig()) -> FourierDescriptor:
+    """Full chain: preprocess, then `describe`."""
+    return describe(preprocess(img, config.preprocess), config)
 
 
 # --- descriptor files --------------------------------------------------------

@@ -39,11 +39,6 @@ class DistanceMeasure:
             raise ValueError(f"minkowski order must be positive, got {self.p!r}")
 
 
-def parse_measure(text: str, p: float | None = None) -> DistanceMeasure:
-    name = text.strip().lower()
-    return DistanceMeasure(name, DEFAULT_MINKOWSKI_P if p is None else float(p))
-
-
 def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -54,48 +49,18 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distance(measure: DistanceMeasure, x, y) -> float:
-    """Distance between two equal-length vectors under `measure`."""
+    """Distance between two equal-length vectors: the 1x1 `pairwise_distances`."""
     x, y = _check_pair(x, y)
-    name = measure.name
-    if name == "minkowski":
-        return float(np.sum(np.abs(x - y) ** measure.p) ** (1.0 / measure.p))
-    if name == "manhattan":
-        return float(np.sum(np.abs(x - y)))
-    if name == "euclidean":
-        return float(np.sqrt(np.sum((x - y) ** 2)))
-    if name == "angle":
-        nx = float(np.sum(x * x))
-        ny = float(np.sum(y * y))
-        if nx == 0.0 or ny == 0.0:
-            raise DegenerateInput("angle distance undefined for a zero vector")
-        cos = float(np.sum(x * y)) / np.sqrt(nx * ny)
-        return -min(1.0, max(-1.0, cos))
-    if name == "correlation":
-        n = x.size
-        vx = float(np.sum(x * x)) - float(np.sum(x)) ** 2 / n
-        vy = float(np.sum(y * y)) - float(np.sum(y)) ** 2 / n
-        if vx <= 0.0 or vy <= 0.0:
-            raise DegenerateInput("correlation distance undefined for a constant vector")
-        sxy = float(np.sum(x * y)) - float(np.sum(x)) * float(np.sum(y)) / n
-        r = sxy / np.sqrt(vx * vy)
-        return -min(1.0, max(-1.0, r))
-    if name == "mod-manhattan":
-        denom = float(np.sum(np.abs(x))) * float(np.sum(np.abs(y)))
-        if denom == 0.0:
-            raise DegenerateInput("modified Manhattan undefined for a zero vector")
-        return float(np.sum(np.abs(x - y))) / denom
-    # mod-sse
-    denom = float(np.sum(x * x)) * float(np.sum(y * y))
-    if denom == 0.0:
-        raise DegenerateInput("modified SSE undefined for a zero vector")
-    return float(np.sum((x - y) ** 2)) / denom
+    return float(pairwise_distances(measure, x[None], y[None])[0, 0])
 
 
 def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:
-    """Distance matrix D[i, j] = distance(measure, probes[i], gallery[j]).
+    """Distance matrix D[i, j] between probes[i] and gallery[j] under `measure`.
 
-    Vectorized equivalent of looping `distance` over two stacks of
-    row vectors; raises the same errors on degenerate rows.
+    Each entry is reduced from its own pair of rows alone (elementwise
+    products summed along the row, no matrix product), so it does not
+    depend on the other rows in the call: a 1x1 call gives the same bits.
+    Raises DegenerateInput when any row makes the measure undefined.
     """
     p = np.asarray(probes, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
@@ -103,35 +68,37 @@ def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:
         raise LengthMismatch(
             f"operands must be 2-D with a shared nonzero width, got {p.shape} and {g.shape}")
     name = measure.name
-    diff = p[:, None, :] - g[None, :, :]
-    if name == "minkowski":
-        return np.sum(np.abs(diff) ** measure.p, axis=2) ** (1.0 / measure.p)
-    if name == "manhattan":
-        return np.sum(np.abs(diff), axis=2)
-    if name == "euclidean":
-        return np.sqrt(np.sum(diff ** 2, axis=2))
-    if name == "angle":
+    if name in ("angle", "correlation"):
+        if name == "correlation":
+            if (np.ptp(p, axis=1) == 0.0).any() or (np.ptp(g, axis=1) == 0.0).any():
+                raise DegenerateInput("correlation distance undefined for a constant vector")
+            # Centered two-pass sums; the one-pass sum(x*x) - sum(x)**2/n
+            # cancels to nothing for rows with a large mean and a small spread.
+            p = p - p.mean(axis=1, keepdims=True)
+            g = g - g.mean(axis=1, keepdims=True)
         np2 = np.sum(p * p, axis=1)
         ng2 = np.sum(g * g, axis=1)
         if (np2 == 0.0).any() or (ng2 == 0.0).any():
-            raise DegenerateInput("angle distance undefined for a zero vector")
-        cos = (p @ g.T) / np.sqrt(np.outer(np2, ng2))
+            raise DegenerateInput(f"{name} distance undefined for a zero vector")
+        cos = np.sum(p[:, None, :] * g[None, :, :], axis=2) / np.sqrt(np.outer(np2, ng2))
         return -np.clip(cos, -1.0, 1.0)
-    if name == "correlation":
-        n = p.shape[1]
-        vp = np.sum(p * p, axis=1) - np.sum(p, axis=1) ** 2 / n
-        vg = np.sum(g * g, axis=1) - np.sum(g, axis=1) ** 2 / n
-        if (vp <= 0.0).any() or (vg <= 0.0).any():
-            raise DegenerateInput("correlation distance undefined for a constant vector")
-        spg = p @ g.T - np.outer(np.sum(p, axis=1), np.sum(g, axis=1)) / n
-        r = spg / np.sqrt(np.outer(vp, vg))
-        return -np.clip(r, -1.0, 1.0)
+    diff = np.abs(p[:, None, :] - g[None, :, :])
+    if name == "minkowski":
+        # Scale each pair by its largest |difference| before the power, as
+        # LAPACK dnrm2 does, so a high order cannot overflow to inf.
+        top = diff.max(axis=2)
+        top = np.where(top > 0.0, top, 1.0)
+        return top * np.sum((diff / top[:, :, None]) ** measure.p, axis=2) ** (1.0 / measure.p)
+    if name == "manhattan":
+        return np.sum(diff, axis=2)
+    if name == "euclidean":
+        return np.sqrt(np.sum(diff ** 2, axis=2))
     if name == "mod-manhattan":
         sp = np.sum(np.abs(p), axis=1)
         sg = np.sum(np.abs(g), axis=1)
         if (sp == 0.0).any() or (sg == 0.0).any():
             raise DegenerateInput("modified Manhattan undefined for a zero vector")
-        return np.sum(np.abs(diff), axis=2) / np.outer(sp, sg)
+        return np.sum(diff, axis=2) / np.outer(sp, sg)
     sp = np.sum(p * p, axis=1)
     sg = np.sum(g * g, axis=1)
     if (sp == 0.0).any() or (sg == 0.0).any():

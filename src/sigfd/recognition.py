@@ -14,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+# `distance`, `dft`, `dwt2_multi` and `normalize_descriptor` are not called
+# here, but bench/spans.py traces calls by patching these module globals,
+# so every name it looks up on this module has to stay importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                         dft, extract_features, load_descriptor,
-                         normalize_descriptor, save_descriptor,
-                         serialize_coefficients)
+                         describe, dft, extract_features, load_descriptor,
+                         normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
                      InsufficientSamples, IoError, MetaMismatch,
                      UnknownIdentity)
@@ -32,6 +34,10 @@ _GAL_MAGIC = "SIGGAL"
 _GAL_VERSION = "v1"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
+
+# Template rows are stacked this many at a time while matching, so the
+# working set stays (probes x _CHUNK_ROWS x k) however large the gallery.
+_CHUNK_ROWS = 1024
 
 
 def _check_name(label: str, what: str) -> str:
@@ -113,16 +119,44 @@ def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) 
     return extract_features(probe, config)
 
 
+def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows,
+                     owners) -> tuple[list, np.ndarray]:
+    """Closest-template distance per identity for each probe.
+
+    `probes` is (P, k); template t has magnitudes `rows[t]` and identity
+    `owners[t]`.  Returns the sorted identities and the (P, identities)
+    minima in that column order.  Rows are matched _CHUNK_ROWS at a time;
+    within a chunk the columns are grouped by identity and reduced, and an
+    identity spread over several chunks is merged with `np.minimum`, so
+    neither enrollment order nor chunking changes a result.
+    """
+    names = sorted(set(owners))
+    column = {name: i for i, name in enumerate(names)}
+    cols = np.array([column[o] for o in owners], dtype=np.intp)
+    minima = np.full((len(probes), len(names)), np.inf)
+    for start in range(0, len(cols), _CHUNK_ROWS):
+        block = cols[start:start + _CHUNK_ROWS]
+        order = np.argsort(block)
+        dmat = pairwise_distances(measure, probes, np.asarray(rows[start:start + _CHUNK_ROWS]))
+        grouped = block[order]
+        firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        hit = grouped[firsts]
+        minima[:, hit] = np.minimum(minima[:, hit],
+                                    np.minimum.reduceat(dmat[:, order], firsts, axis=1))
+    return names, minima
+
+
 def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
              config: PipelineConfig) -> MatchResult:
     """Rank identities by their closest template to the probe."""
     fd = _probe_features(gallery, probe, config)
-    best: dict[str, float] = {}
-    for t in gallery.templates:
-        d = distance(measure, fd.magnitudes, t.descriptor.magnitudes)
-        if t.identity not in best or d < best[t.identity]:
-            best[t.identity] = d
-    ranking = tuple(sorted(best.items(), key=lambda kv: (kv[1], kv[0])))
+    names, minima = _identity_minima(measure, fd.magnitudes[None],
+                                     [t.descriptor.magnitudes for t in gallery.templates],
+                                     [t.identity for t in gallery.templates])
+    dists = minima[0]
+    # Columns are in sorted identity order, so a stable sort by distance
+    # breaks ties toward the lexicographically smallest identity.
+    ranking = tuple((names[i], float(dists[i])) for i in np.argsort(dists, kind="stable"))
     return MatchResult(ranking[0][0], ranking[0][1], ranking)
 
 
@@ -130,11 +164,11 @@ def verify(gallery: Gallery, claimed: str, probe: GrayImage, measure: DistanceMe
            threshold: float, config: PipelineConfig) -> VerifyResult:
     """Accept the claimed identity when its closest template is within threshold."""
     fd = _probe_features(gallery, probe, config)
-    dists = [distance(measure, fd.magnitudes, t.descriptor.magnitudes)
-             for t in gallery.templates if t.identity == claimed]
-    if not dists:
+    rows = [t.descriptor.magnitudes for t in gallery.templates if t.identity == claimed]
+    if not rows:
         raise UnknownIdentity(f"{claimed!r} has no enrolled templates")
-    d = min(dists)
+    _, minima = _identity_minima(measure, fd.magnitudes[None], rows, [claimed] * len(rows))
+    d = float(minima[0, 0])
     return VerifyResult(d <= threshold, d)
 
 
@@ -334,23 +368,18 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     pre = {label: [preprocess(img, config.preprocess) for img in dataset[label]]
            for label in labels}
     probe_labels = np.repeat(np.arange(len(labels)), [len(test_idx[l]) for l in labels])
-    starts = train_k * np.arange(len(labels))
+    owners = [label for label in labels for _ in range(train_k)]
 
     rates = np.zeros((len(measures), len(families)))
     for fi, family in enumerate(families):
-        feats = {}
-        for label in labels:
-            vecs = []
-            for img in pre[label]:
-                spectrum = dft(serialize_coefficients(dwt2_multi(img, family, config.levels)))
-                vecs.append(normalize_descriptor(spectrum, config.k).magnitudes)
-            feats[label] = np.stack(vecs)
+        cfg = dataclasses.replace(config, family=family)
+        feats = {label: np.stack([describe(img, cfg).magnitudes for img in pre[label]])
+                 for label in labels}
         train = np.vstack([feats[label][train_idx[label]] for label in labels])
         probes = np.vstack([feats[label][test_idx[label]] for label in labels])
         for mi, measure in enumerate(measures):
-            dmat = pairwise_distances(measure, probes, train)
-            per_identity = np.minimum.reduceat(dmat, starts, axis=1)
-            predicted = np.argmin(per_identity, axis=1)
+            _, minima = _identity_minima(measure, probes, train, owners)
+            predicted = np.argmin(minima, axis=1)
             rates[mi, fi] = 100.0 * float(np.mean(predicted == probe_labels))
 
     return EvalReport(measures, families, rates, protocol,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sigfd.cli import CliConfig, build_parser, run
-from sigfd.imaging import GrayImage, save_image
+from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
+from sigfd.descriptor import DescriptorMeta, PipelineConfig
+from sigfd.imaging import GrayImage, PreprocessConfig, save_image
+from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
 from sigfd.recognition import SynthSpec, generate_synthetic, save_dataset
 from sigfd.wavelet import WaveletFamily
 
@@ -27,16 +29,38 @@ def gallery_dir(tmp_path_factory, dataset_dir):
 
 
 def test_cli_config_resolves_flags_and_defaults():
-    assert CliConfig.from_args(build_parser().parse_args(["synth", "d"])) == CliConfig()
-    args = build_parser().parse_args(
-        ["identify", "g", "--measure", "euclidean",
-         "--median-window", "5", "--target-size", "128", "64", "probe.pgm"])
-    cfg = CliConfig.from_args(args)
-    assert cfg.gallery_path == "g"
-    assert cfg.measure.name == "euclidean"
-    assert (cfg.median_window, cfg.target_size) == (5, (128, 64))
-    assert (cfg.family, cfg.levels, cfg.k) == (WaveletFamily.SYM8, 3, 64)
-    assert cfg.pipeline().preprocess.target_size == (128, 64)
+    parse = build_parser().parse_args
+    assert pipeline_from_args(parse(["enroll", "g", "a", "x.pgm"])) == PipelineConfig()
+    assert pipeline_from_args(parse(["evaluate", "d"])) == PipelineConfig()
+    args = parse(["identify", "g", "--measure", "euclidean",
+                  "--median-window", "5", "--target-size", "128", "64", "probe.pgm"])
+    assert args.gallery == "g"
+    assert measure_from_args(args) == DistanceMeasure("euclidean")
+    config = pipeline_from_args(args)
+    assert config.preprocess == PreprocessConfig(median_window=5, target_size=(128, 64))
+    assert (config.family, config.levels, config.k) == (WaveletFamily.SYM8, 3, 64)
+    # a stored gallery's parameters win over the defaults
+    stored = pipeline_from_args(args, DescriptorMeta(WaveletFamily.HAAR, 2, 16))
+    assert stored.meta == DescriptorMeta(WaveletFamily.HAAR, 2, 16)
+    assert stored.preprocess.target_size == (128, 64)
+    enroll = parse(["enroll", "g", "a", "--family", "db2", "--levels", "2", "--k", "8",
+                    "--no-slant", "--binarize-threshold", "100", "x.pgm"])
+    config = pipeline_from_args(enroll)
+    assert config.meta == DescriptorMeta(WaveletFamily.DB2, 2, 8)
+    assert (config.preprocess.slant_enabled, config.preprocess.binarize_threshold) == (False, 100)
+
+
+def test_measure_flags_resolve_to_distance_measure():
+    parse = build_parser().parse_args
+    args = parse(["identify", "g", "--measure", " Manhattan ", "p.pgm"])
+    assert measure_from_args(args) == DistanceMeasure("manhattan")
+    args = parse(["verify", "g", "a", "--threshold", "1", "--measure", "minkowski", "p.pgm"])
+    assert measure_from_args(args).p == DEFAULT_MINKOWSKI_P
+    args = parse(["identify", "g", "--measure", "minkowski", "--minkowski-p", "4", "p.pgm"])
+    assert measure_from_args(args) == DistanceMeasure("minkowski", 4.0)
+    args = parse(["evaluate", "d", "--measures", "Angle, mod-sse", "--minkowski-p", "2"])
+    assert [measure_from_args(args, name) for name in args.measures] == \
+        [DistanceMeasure("angle", 2.0), DistanceMeasure("mod-sse", 2.0)]
 
 
 def test_enroll_reports_count(tmp_path, dataset_dir, capsys):

@@ -5,8 +5,8 @@ from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
                               PipelineConfig, dft, extract_features,
                               load_descriptor, normalize_descriptor,
                               save_descriptor, serialize_coefficients)
-from sigfd.errors import (BadLength, DegenerateDescriptor, FormatError,
-                          IoError)
+from sigfd.errors import (BadLength, BadLevels, DegenerateDescriptor,
+                          FormatError, IoError)
 from sigfd.imaging import GrayImage, PreprocessConfig
 from sigfd.wavelet import WaveletFamily, dwt2_multi
 
@@ -191,3 +191,23 @@ def test_descriptor_file_rejects_corruption(tmp_path):
 def test_pipeline_config_meta():
     cfg = PipelineConfig(WaveletFamily.DB15, 2, 10)
     assert cfg.meta == DescriptorMeta(WaveletFamily.DB15, 2, 10)
+
+
+def test_pipeline_config_rejects_levels_the_target_cannot_halve():
+    with pytest.raises(BadLevels):
+        PipelineConfig(levels=5, k=2, preprocess=PreprocessConfig(target_size=(16, 16)))
+    with pytest.raises(BadLevels):
+        PipelineConfig(levels=3, k=2, preprocess=PreprocessConfig(target_size=(256, 4)))
+    with pytest.raises(BadLevels):
+        PipelineConfig(levels=0)
+
+
+def test_pipeline_config_rejects_k_beyond_the_coarsest_plane():
+    small = PreprocessConfig(target_size=(16, 16))
+    with pytest.raises(BadLength):
+        PipelineConfig(levels=3, k=64, preprocess=small)  # N = 2 * 2
+    with pytest.raises(BadLength):
+        PipelineConfig(levels=2, k=15, preprocess=small)  # N = 4 * 4
+    with pytest.raises(BadLength):
+        PipelineConfig(k=1)
+    assert PipelineConfig(levels=2, k=14, preprocess=small).k == 14

@@ -1,14 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigfd.descriptor import DescriptorMeta, PipelineConfig
+from sigfd import recognition
+from sigfd.descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
+                              extract_features)
 from sigfd.errors import (DuplicateSample, EmptyGallery, FormatError,
                           InsufficientSamples, IoError, MetaMismatch,
                           UnknownIdentity)
-from sigfd.imaging import GrayImage
-from sigfd.metrics import DistanceMeasure
-from sigfd.recognition import (EvalReport, Gallery, SynthSpec, enroll,
-                               evaluate, generate_synthetic, identify,
+from sigfd.imaging import GrayImage, PreprocessConfig
+from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance
+from sigfd.recognition import (EvalReport, Gallery, SynthSpec, Template,
+                               enroll, evaluate, generate_synthetic, identify,
                                load_dataset, load_gallery, new_gallery,
                                report_to_csv, save_dataset, save_gallery,
                                verify)
@@ -130,6 +136,70 @@ def test_verify_accepts_and_rejects(tiny_dataset, tiny_gallery):
 def test_verify_unknown_identity(tiny_dataset, tiny_gallery):
     with pytest.raises(UnknownIdentity):
         verify(tiny_gallery, "ghost", tiny_dataset["id000"][0], MANHATTAN, 1.0, CFG)
+
+
+# A small frame keeps probe extraction cheap in the ranking properties below.
+SMALL = PipelineConfig(levels=2, k=8, preprocess=PreprocessConfig(target_size=(32, 32)))
+_PROBE = generate_synthetic(SynthSpec(n_identities=1, samples_per_identity=1, seed=3))["id000"][0]
+_PROBE_MAGS = extract_features(_PROBE, SMALL).magnitudes
+
+
+def _gallery(rows, owners) -> Gallery:
+    return Gallery(SMALL.meta, tuple(
+        Template(owner, f"s{i}", FourierDescriptor(row, SMALL.meta))
+        for i, (row, owner) in enumerate(zip(rows, owners))))
+
+
+def _brute_force_ranking(gallery, measure):
+    best = {}
+    for t in gallery.templates:
+        d = distance(measure, _PROBE_MAGS, t.descriptor.magnitudes)
+        best[t.identity] = min(best.get(t.identity, np.inf), d)
+    return tuple(sorted(best.items(), key=lambda kv: (kv[1], kv[0])))
+
+
+@st.composite
+def _galleries(draw):
+    """Rows drawn from a small pool, so distances tie across identities."""
+    pool = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((5, SMALL.k)) + 0.1
+    n = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    owners = draw(st.lists(st.sampled_from(["ann", "bo", "cy", "dee", "ed"]),
+                           min_size=n, max_size=n))
+    return [pool[i] for i in picks], owners, draw(st.permutations(range(n)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(parts=_galleries(), name=st.sampled_from(MEASURE_NAMES), chunk=st.integers(1, 8))
+def test_identify_ranking_ignores_template_order_and_chunking(parts, name, chunk):
+    rows, owners, perm = parts
+    measure = DistanceMeasure(name)
+    forward = _gallery(rows, owners)
+    shuffled = Gallery(SMALL.meta, tuple(forward.templates[i] for i in perm))
+    expected = _brute_force_ranking(forward, measure)
+    with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
+        assert identify(shuffled, _PROBE, measure, SMALL).ranking == expected
+    assert identify(forward, _PROBE, measure, SMALL).ranking == expected
+
+
+def test_identify_matches_brute_force_across_a_chunk_boundary():
+    # three templates per identity, so one identity's rows straddle the
+    # first chunk boundary; its exact copy of the probe comes before the
+    # boundary, and its rows after it must not displace that minimum
+    per_id = 3
+    n_ids = recognition._CHUNK_ROWS // per_id + 20
+    rng = np.random.default_rng(50)
+    rows = list(rng.random((n_ids * per_id, SMALL.k)) + 0.1)
+    owners = [f"i{t // per_id:04d}" for t in range(len(rows))]
+    straddler = recognition._CHUNK_ROWS // per_id
+    assert straddler * per_id < recognition._CHUNK_ROWS < (straddler + 1) * per_id - 1
+    rows[straddler * per_id] = _PROBE_MAGS
+    gallery = _gallery(rows, owners)
+    for name in ("manhattan", "correlation"):
+        result = identify(gallery, _PROBE, DistanceMeasure(name), SMALL)
+        assert result.ranking == _brute_force_ranking(gallery, DistanceMeasure(name))
+        assert result.identity == f"i{straddler:04d}"
+    assert verify(gallery, f"i{straddler:04d}", _PROBE, MANHATTAN, 0.0, SMALL).distance == 0.0
 
 
 # --- synthetic generation --------------------------------------------------------
