@@ -1,7 +1,8 @@
 """Similarity-invariant Fourier features over wavelet approximation planes.
 
-The coarsest approximation plane is scanned row-major into a 1-D
-sequence, transformed with a radix-2 FFT, and normalized so that the
+The coarsest approximation plane, computed by `wavelet.approximation`
+without the detail planes, is scanned row-major into a 1-D sequence,
+transformed with numpy's FFT, and normalized so that the
 retained magnitudes ignore where the scan started, any global intensity
 gain, and any constant offset: a circular shift only rotates phases, a
 gain cancels in the a[n]/a[1] ratio, and an offset lives entirely in
@@ -16,7 +17,11 @@ import numpy as np
 from .errors import (BadLength, BadLevels, DegenerateDescriptor, FormatError,
                      IoError)
 from .imaging import GrayImage, PreprocessConfig, preprocess
-from .wavelet import WaveletDecomposition, WaveletFamily, dwt2_multi
+# `dwt2_multi` is not called here, but bench/spans.py traces calls by
+# patching this module's globals, so every name it looks up on this module
+# has to stay importable.
+from .wavelet import (WaveletDecomposition, WaveletFamily, approximation,
+                      dwt2_multi)
 
 NORMALIZER_EPS = 1e-12
 
@@ -85,31 +90,6 @@ def serialize_coefficients(dec: WaveletDecomposition) -> CoefficientSequence:
     return np.asarray(dec.approx, dtype=np.float64).ravel()
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    rev = np.zeros(n, dtype=np.intp)
-    half, step = 1, n >> 1
-    while half < n:
-        rev[half:2 * half] = rev[:half] + step
-        half <<= 1
-        step >>= 1
-    return rev
-
-
-def _fft_radix2(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    y = x[_bit_reverse_permutation(n)]
-    m = 1
-    while m < n:
-        twiddle = np.exp(-1j * np.pi * np.arange(m) / m)
-        blocks = y.reshape(-1, 2 * m)
-        even = blocks[:, :m].copy()
-        odd = blocks[:, m:] * twiddle
-        blocks[:, :m] = even + odd
-        blocks[:, m:] = even - odd
-        m <<= 1
-    return y
-
-
 def dft(sequence: CoefficientSequence) -> FourierCoefficients:
     """Normalized spectrum a[n] = (1/N) sum_t u(t) exp(-2j pi n t / N).
 
@@ -119,7 +99,7 @@ def dft(sequence: CoefficientSequence) -> FourierCoefficients:
     n = u.size
     if u.ndim != 1 or n < 4 or n & (n - 1):
         raise BadLength(f"need a 1-D power-of-two sequence of length >= 4, got shape {u.shape}")
-    return _fft_radix2(u.astype(np.complex128)) / n
+    return np.fft.fft(u) / n
 
 
 def normalize_descriptor(spectrum: FourierCoefficients, k: int,
@@ -145,9 +125,9 @@ def normalize_descriptor(spectrum: FourierCoefficients, k: int,
 
 
 def describe(pre: GrayImage, config: PipelineConfig) -> FourierDescriptor:
-    """Decompose, transform and normalize an already-preprocessed image."""
-    dec = dwt2_multi(pre, config.family, config.levels)
-    spectrum = dft(serialize_coefficients(dec))
+    """Approximate, transform and normalize an already-preprocessed image."""
+    plane = approximation(pre, config.family, config.levels)
+    spectrum = dft(plane.ravel())
     return normalize_descriptor(spectrum, config.k, family=config.family, levels=config.levels)
 
 

@@ -437,7 +437,13 @@ def load_gallery(root) -> Gallery:
         raise FormatError(f"{manifest}: {exc}") from exc
     templates = []
     for ident_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for path in sorted(ident_dir.glob("*.sigfd")):
+        paths = sorted(ident_dir.glob("*.sigfd"))
+        if paths:
+            try:
+                _check_name(ident_dir.name, "identity")
+            except ValueError as exc:
+                raise FormatError(f"{ident_dir}: {exc}") from exc
+        for path in paths:
             fd = load_descriptor(path)
             if fd.meta != meta:
                 raise MetaMismatch(f"{path}: descriptor meta {fd.meta} != gallery meta {meta}")

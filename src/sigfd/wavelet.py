@@ -10,6 +10,12 @@ Rows (the x axis) are filtered before columns (the y axis), so the `h`
 detail plane is low-pass in x and high-pass in y (horizontal strokes),
 `v` is the transpose, and `d` is high-pass in both.
 
+The descriptor reads only the coarsest approximation plane, and
+periodized lowpass-and-decimate is linear and separable, so
+`approximation` applies `levels` passes as one cached matrix per axis
+extent.  `dwt2_multi` builds every detail plane as well; it serves
+subband dumps and is the oracle the operator is tested against.
+
 Filter taps are float64 evaluations of exact spectral factorizations of
 the maximally flat half-band polynomial: minimum phase for the dbN
 families, the least-asymmetric factor for sym8.  Each lowpass is listed
@@ -18,6 +24,7 @@ demand by alternating-sign reversal.
 """
 
 import dataclasses
+import functools
 from enum import Enum
 
 import numpy as np
@@ -204,14 +211,18 @@ def dwt2_level(plane: np.ndarray, filters: FilterPair):
     return ll, lh, hl, hh
 
 
-def dwt2_multi(img: GrayImage, family: WaveletFamily, levels: int) -> WaveletDecomposition:
-    """Iterate `dwt2_level` on the approximation `levels` times."""
+def _check_levels(img: GrayImage, levels: int) -> None:
     if not isinstance(levels, int) or levels < 1:
         raise BadLevels(f"levels must be an integer >= 1, got {levels!r}")
     h, w = img.pixels.shape
     step = 1 << levels
     if h % step or w % step:
         raise BadLevels(f"{w}x{h} image does not support {levels} halvings")
+
+
+def dwt2_multi(img: GrayImage, family: WaveletFamily, levels: int) -> WaveletDecomposition:
+    """Iterate `dwt2_level` on the approximation `levels` times."""
+    _check_levels(img, levels)
     filters = analysis_filters(family)
     plane = img.pixels.astype(np.float64)
     details = []
@@ -219,6 +230,31 @@ def dwt2_multi(img: GrayImage, family: WaveletFamily, levels: int) -> WaveletDec
         plane, lh, hl, hh = dwt2_level(plane, filters)
         details.append(DetailSet(lh, hl, hh))
     return WaveletDecomposition(family, levels, plane, tuple(details))
+
+
+# One entry per (family, levels, extent) in use, typically one or two per
+# pipeline; the bound stops ad-hoc extents from piling up for the life of
+# the process.
+@functools.lru_cache(maxsize=64)
+def _lowpass_operator(family: WaveletFamily, levels: int, n: int) -> np.ndarray:
+    """Read-only (n >> levels) x n matrix of `levels` lowpass-and-decimate passes."""
+    taps = analysis_filters(family).lowpass
+    op = np.eye(n)
+    for _ in range(levels):
+        op = _analyze(op, taps, axis=0)
+    op.setflags(write=False)
+    return op
+
+
+def approximation(img: GrayImage, family: WaveletFamily, levels: int) -> np.ndarray:
+    """Coarsest approximation plane of `dwt2_multi`, without the details.
+
+    Equal to `dwt2_multi(img, family, levels).approx` up to rounding.
+    """
+    _check_levels(img, levels)
+    h, w = img.pixels.shape
+    rows = _lowpass_operator(family, levels, h) @ img.pixels.astype(np.float64)
+    return rows @ _lowpass_operator(family, levels, w).T
 
 
 def idwt2(dec: WaveletDecomposition) -> np.ndarray:

@@ -109,6 +109,36 @@ def test_median_matches_sort_oracle():
             assert np.array_equal(out.pixels, _median_oracle(px, window))
 
 
+def _median_np_oracle(px, window):
+    padded = np.pad(px, window // 2, mode="edge")
+    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+    return np.median(view.reshape(px.shape + (-1,)), axis=2).astype(np.uint8)
+
+
+def test_median_network_matches_np_median_on_edge_shapes():
+    rng = np.random.default_rng(5)
+    images = [rng.integers(0, 256, size=shape, dtype=np.uint8)
+              for shape in ((1, 1), (1, 9), (9, 1), (2, 3), (3, 2))]
+    images += [np.full((4, 5), value, dtype=np.uint8) for value in (0, 131, 255)]
+    images += [rng.integers(0, 256, size=(16, 16), dtype=np.uint8) for _ in range(20)]
+    for px in images:
+        for window in (3, 5):
+            out = median_filter(GrayImage(px), window)
+            assert out.pixels.dtype == np.uint8
+            assert np.array_equal(out.pixels, _median_np_oracle(px, window)), (px.shape, window)
+
+
+def test_median_network_selects_the_median_of_every_binary_window():
+    # A comparator network that selects the median of every 0/255 input
+    # selects it for every input (0-1 principle).  Each 3x3 pattern sits
+    # in its own block of a 3-row strip, where the block's centre pixel
+    # sees exactly that block.
+    patterns = (np.arange(512)[:, None] >> np.arange(9) & 1).astype(np.uint8) * 255
+    strip = np.hstack(list(patterns.reshape(512, 3, 3)))
+    out = median_filter(GrayImage(strip), 3).pixels[1, 1::3]
+    assert np.array_equal(out, np.median(patterns, axis=1).astype(np.uint8))
+
+
 def test_median_rejects_bad_windows():
     img = GrayImage(np.zeros((3, 3), dtype=np.uint8))
     for bad in (0, 2, 4, -1):

@@ -341,6 +341,18 @@ def test_gallery_load_errors(tmp_path, tiny_gallery):
         load_gallery(root2)
 
 
+def test_gallery_load_rejects_bad_identity_directory_names(tmp_path, tiny_gallery):
+    root = tmp_path / "gal"
+    save_gallery(tiny_gallery, root)
+    (root / "notes and scans").mkdir()  # holds no descriptors, so it is no identity
+    assert len(load_gallery(root).templates) == len(tiny_gallery.templates)
+    for bad in ("-id000", "id 000", ".id000"):
+        (root / "id000").rename(root / bad)
+        with pytest.raises(FormatError, match="identity"):
+            load_gallery(root)
+        (root / bad).rename(root / "id000")
+
+
 def test_dataset_round_trip(tmp_path, tiny_dataset):
     root = tmp_path / "data"
     count = save_dataset(tiny_dataset, root)

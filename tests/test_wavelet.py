@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigfd.errors import BadLevels, MalformedDecomposition, OddDimension
 from sigfd.imaging import GrayImage
 from sigfd.wavelet import (DetailSet, WaveletDecomposition, WaveletFamily,
-                           analysis_filters, dwt2_level, dwt2_multi, idwt2,
-                           subband_images)
+                           analysis_filters, approximation, dwt2_level,
+                           dwt2_multi, idwt2, subband_images)
 
 TAP_COUNTS = {
     WaveletFamily.HAAR: 2,
@@ -120,10 +122,33 @@ def test_odd_dimension_rejected():
 
 def test_bad_levels_rejected():
     img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    with pytest.raises(BadLevels):
-        dwt2_multi(img, WaveletFamily.HAAR, 0)
-    with pytest.raises(BadLevels):
-        dwt2_multi(img, WaveletFamily.HAAR, 4)  # 8 does not divide by 16
+    for fn in (dwt2_multi, approximation):
+        with pytest.raises(BadLevels):
+            fn(img, WaveletFamily.HAAR, 0)
+        with pytest.raises(BadLevels):
+            fn(img, WaveletFamily.HAAR, 4)  # 8 does not divide by 16
+        with pytest.raises(BadLevels):
+            fn(GrayImage(np.zeros((8, 24), dtype=np.uint8)), WaveletFamily.HAAR, 4)
+        for not_an_int in (1.0, "2"):
+            with pytest.raises(BadLevels):
+                fn(img, WaveletFamily.HAAR, not_an_int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(list(WaveletFamily)), levels=st.integers(1, 3),
+       h_units=st.integers(1, 32), w_units=st.integers(1, 32),
+       seed=st.integers(0, 2**32 - 1))
+@example(family=WaveletFamily.DB15, levels=3, h_units=2, w_units=8, seed=0)   # 16x64
+@example(family=WaveletFamily.SYM8, levels=3, h_units=32, w_units=1, seed=1)  # 256x8
+@example(family=WaveletFamily.HAAR, levels=1, h_units=1, w_units=1, seed=2)   # 2x2
+def test_approximation_operator_matches_dwt2_multi(family, levels, h_units, w_units, seed):
+    h, w = h_units << levels, w_units << levels
+    px = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+    img = GrayImage(px)
+    approx = dwt2_multi(img, family, levels).approx
+    got = approximation(img, family, levels)
+    assert got.shape == approx.shape == (h >> levels, w >> levels)
+    assert np.abs(got - approx).max() <= 1e-12 * np.abs(approx).max()
 
 
 def test_idwt_rejects_malformed_decomposition():
