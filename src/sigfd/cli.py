@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .descriptor import DescriptorMeta, PipelineConfig
-from .errors import MetaMismatch, SigfdError
+from .errors import SigfdError
 from .imaging import PreprocessConfig, load_image, preprocess, save_image
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
 from .recognition import (MANIFEST_NAME, SynthSpec, enroll, evaluate,
@@ -99,19 +99,20 @@ def pipeline_from_args(args: argparse.Namespace,
                        meta: DescriptorMeta | None = None) -> PipelineConfig:
     """Extraction parameters from the flags.
 
-    A stored gallery's `meta` supplies family, levels and k; otherwise the
-    flags do, and `PipelineConfig`'s defaults fill what a subcommand lacks.
+    Explicit `--family/--levels/--k` flags win; a stored gallery's `meta`
+    supplies the ones not given, and `PipelineConfig`'s defaults fill what
+    is left.  A flag that disagrees with the gallery is caught where the
+    config meets the gallery (`MetaMismatch`).
     """
-    if meta is None:
-        chosen = {name: getattr(args, name, None) for name in ("family", "levels", "k")}
-    else:
-        chosen = {"family": meta.family, "levels": meta.levels, "k": meta.k}
+    chosen = {} if meta is None else {"family": meta.family, "levels": meta.levels, "k": meta.k}
+    for name in ("family", "levels", "k"):
+        if getattr(args, name, None) is not None:
+            chosen[name] = getattr(args, name)
     pre = PreprocessConfig(median_window=args.median_window,
                            target_size=tuple(args.target_size),
                            slant_enabled=not args.no_slant,
                            binarize_threshold=args.binarize_threshold)
-    return PipelineConfig(preprocess=pre,
-                          **{name: v for name, v in chosen.items() if v is not None})
+    return PipelineConfig(preprocess=pre, **chosen)
 
 
 def measure_from_args(args: argparse.Namespace, name: str | None = None) -> DistanceMeasure:
@@ -121,15 +122,7 @@ def measure_from_args(args: argparse.Namespace, name: str | None = None) -> Dist
 
 def _cmd_enroll(args) -> int:
     root = Path(args.gallery)
-    gallery = None
-    if (root / MANIFEST_NAME).exists():
-        gallery = load_gallery(root)
-        meta = gallery.meta
-        requested = (args.family or meta.family, args.levels or meta.levels, args.k or meta.k)
-        if requested != (meta.family, meta.levels, meta.k):
-            raise MetaMismatch(
-                f"flags request {requested} but gallery holds "
-                f"({meta.family.value}, {meta.levels}, {meta.k})")
+    gallery = load_gallery(root) if (root / MANIFEST_NAME).exists() else None
     config = pipeline_from_args(args, None if gallery is None else gallery.meta)
     if gallery is None:
         gallery = new_gallery(config)

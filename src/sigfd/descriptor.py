@@ -20,16 +20,9 @@ from .imaging import GrayImage, PreprocessConfig, preprocess
 # `dwt2_multi` is not called here, but bench/spans.py traces calls by
 # patching this module's globals, so every name it looks up on this module
 # has to stay importable.
-from .wavelet import (WaveletDecomposition, WaveletFamily, approximation,
-                      dwt2_multi)
+from .wavelet import WaveletFamily, approximation, dwt2_multi
 
 NORMALIZER_EPS = 1e-12
-
-# 1-D real scan of a coefficient plane; length is a power of two, at least 4.
-CoefficientSequence = np.ndarray
-# Complex spectrum of a CoefficientSequence, same length; real input gives
-# conjugate symmetry a[N-n] == conj(a[n]).
-FourierCoefficients = np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,8 +44,10 @@ class FourierDescriptor:
     def __post_init__(self):
         mags = np.asarray(self.magnitudes, dtype=np.float64)
         if mags.ndim != 1 or mags.size != self.meta.k or self.meta.k < 1:
-            raise ValueError("magnitudes must be 1-D of length meta.k")
-        if not np.all(np.isfinite(mags)) or mags.min() < 0:
+            raise ValueError(f"need {self.meta.k} magnitudes (k >= 1) in a 1-D array, "
+                             f"got shape {mags.shape}")
+        # min() and max() propagate nan, which fails both comparisons
+        if not (mags.min() >= 0 and mags.max() < np.inf):
             raise ValueError("magnitudes must be finite and nonnegative")
         object.__setattr__(self, "magnitudes", mags)
 
@@ -77,20 +72,15 @@ class PipelineConfig:
         if not isinstance(levels, int) or levels < 1 or w % (1 << levels) or h % (1 << levels):
             raise BadLevels(f"{w}x{h} target does not support {levels!r} halvings")
         n = (w >> levels) * (h >> levels)
-        if not 2 <= self.k <= n - 2:
-            raise BadLength(f"need 2 <= k <= N-2, got k={self.k!r} with N={n}")
+        if not isinstance(self.k, int) or not 2 <= self.k <= n - 2:
+            raise BadLength(f"need an integer 2 <= k <= N-2, got k={self.k!r} with N={n}")
 
     @property
     def meta(self) -> DescriptorMeta:
         return DescriptorMeta(self.family, self.levels, self.k)
 
 
-def serialize_coefficients(dec: WaveletDecomposition) -> CoefficientSequence:
-    """Row-major scan of the coarsest approximation plane."""
-    return np.asarray(dec.approx, dtype=np.float64).ravel()
-
-
-def dft(sequence: CoefficientSequence) -> FourierCoefficients:
+def dft(sequence: np.ndarray) -> np.ndarray:
     """Normalized spectrum a[n] = (1/N) sum_t u(t) exp(-2j pi n t / N).
 
     N must be a power of two, at least 4.
@@ -102,7 +92,7 @@ def dft(sequence: CoefficientSequence) -> FourierCoefficients:
     return np.fft.fft(u) / n
 
 
-def normalize_descriptor(spectrum: FourierCoefficients, k: int,
+def normalize_descriptor(spectrum: np.ndarray, k: int,
                          family: WaveletFamily | None = None,
                          levels: int | None = None) -> FourierDescriptor:
     """Retain |a[n] / a[1]| for n = 2 .. k+1.
@@ -114,8 +104,8 @@ def normalize_descriptor(spectrum: FourierCoefficients, k: int,
     """
     a = np.asarray(spectrum, dtype=np.complex128)
     n = a.size
-    if a.ndim != 1 or not 2 <= k <= n - 2:
-        raise BadLength(f"need 2 <= k <= N-2, got k={k!r} with N={n}")
+    if a.ndim != 1 or not isinstance(k, int) or not 2 <= k <= n - 2:
+        raise BadLength(f"need an integer 2 <= k <= N-2, got k={k!r} with N={n}")
     if abs(a[1]) <= NORMALIZER_EPS:
         raise DegenerateDescriptor(
             f"|a[1]| = {abs(a[1]):.3e} is below {NORMALIZER_EPS:.0e}; "
@@ -173,15 +163,9 @@ def load_descriptor(path) -> FourierDescriptor:
     try:
         family = WaveletFamily.parse(fields[2])
         levels = int(fields[3])
-        k = int(fields[4])
-        values = [float(s) for s in lines[1:]]
+        if levels < 1:
+            raise ValueError(f"bad header value levels={levels}")
+        meta = DescriptorMeta(family, levels, int(fields[4]))
+        return FourierDescriptor(np.array([float(s) for s in lines[1:]]), meta)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if levels < 1 or k < 1:
-        raise FormatError(f"{path}: bad header values levels={levels} k={k}")
-    if len(values) != k:
-        raise FormatError(f"{path}: header says {k} magnitudes, file has {len(values)}")
-    mags = np.array(values)
-    if not np.all(np.isfinite(mags)) or (mags < 0).any():
-        raise FormatError(f"{path}: magnitudes must be finite and nonnegative")
-    return FourierDescriptor(mags, DescriptorMeta(family, levels, k))

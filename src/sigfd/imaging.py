@@ -250,22 +250,23 @@ def estimate_orientation(mask: ForegroundMask) -> float:
 
 
 def _sample_bilinear(px: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: int) -> np.ndarray:
+    """Bilinear samples of `px` at (xs, ys); taps outside the image read `fill`.
+
+    The image is padded by one `fill` pixel on every side, and each tap's
+    index is clipped to [-1, n] and shifted by one, so every tap is one
+    plain gather from the padded image.
+    """
     h, w = px.shape
+    padded = np.pad(px.astype(np.float64), 1, constant_values=float(fill))
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     fx = xs - x0
     fy = ys - y0
+    xtaps = ((1.0 - fx, np.clip(x0, -1, w) + 1), (fx, np.clip(x0 + 1, -1, w) + 1))
     out = np.zeros(xs.shape)
-    for dy in (0, 1):
-        wy = fy if dy else 1.0 - fy
-        yi = y0 + dy
-        for dx in (0, 1):
-            wx = fx if dx else 1.0 - fx
-            xi = x0 + dx
-            v = np.full(xs.shape, float(fill))
-            inb = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-            v[inb] = px[yi[inb], xi[inb]]
-            out += wy * wx * v
+    for wy, yi in ((1.0 - fy, np.clip(y0, -1, h) + 1), (fy, np.clip(y0 + 1, -1, h) + 1)):
+        for wx, xi in xtaps:
+            out += wy * wx * padded[yi, xi]
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 

@@ -82,16 +82,17 @@ def new_gallery(config: PipelineConfig) -> Gallery:
     return Gallery(config.meta)
 
 
-def enroll(gallery: Gallery, identity: str, sample_id: str, img: GrayImage,
-           config: PipelineConfig) -> Gallery:
-    """Extract features for one labeled sample and add them to the gallery."""
-    _check_name(identity, "identity")
-    _check_name(sample_id, "sample_id")
+def _check_meta(gallery: Gallery, config: PipelineConfig) -> None:
     if config.meta != gallery.meta:
         raise MetaMismatch(f"config meta {config.meta} != gallery meta {gallery.meta}")
-    for t in gallery.templates:
-        if t.identity == identity and t.sample_id == sample_id:
-            raise DuplicateSample(f"({identity!r}, {sample_id!r}) already enrolled")
+
+
+def enroll(gallery: Gallery, identity: str, sample_id: str, img: GrayImage,
+           config: PipelineConfig) -> Gallery:
+    """Extract features for one labeled sample; `Gallery` rejects a duplicate."""
+    _check_meta(gallery, config)
+    _check_name(identity, "identity")
+    _check_name(sample_id, "sample_id")
     fd = extract_features(img, config)
     return Gallery(gallery.meta, gallery.templates + (Template(identity, sample_id, fd),))
 
@@ -114,8 +115,7 @@ class VerifyResult:
 def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) -> FourierDescriptor:
     if not gallery.templates:
         raise EmptyGallery("gallery has no enrolled templates")
-    if config.meta != gallery.meta:
-        raise MetaMismatch(f"config meta {config.meta} != gallery meta {gallery.meta}")
+    _check_meta(gallery, config)
     return extract_features(probe, config)
 
 
@@ -125,25 +125,21 @@ def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows,
 
     `probes` is (P, k); template t has magnitudes `rows[t]` and identity
     `owners[t]`.  Returns the sorted identities and the (P, identities)
-    minima in that column order.  Rows are matched _CHUNK_ROWS at a time;
-    within a chunk the columns are grouped by identity and reduced, and an
-    identity spread over several chunks is merged with `np.minimum`, so
-    neither enrollment order nor chunking changes a result.
+    minima in that column order.  Distances are computed _CHUNK_ROWS
+    template rows at a time into one (P, T) matrix whose columns are then
+    grouped by identity and reduced with one `np.minimum.reduceat`; `min`
+    is exact, so neither enrollment order nor chunking changes a result.
     """
     names = sorted(set(owners))
     column = {name: i for i, name in enumerate(names)}
     cols = np.array([column[o] for o in owners], dtype=np.intp)
-    minima = np.full((len(probes), len(names)), np.inf)
-    for start in range(0, len(cols), _CHUNK_ROWS):
-        block = cols[start:start + _CHUNK_ROWS]
-        order = np.argsort(block)
-        dmat = pairwise_distances(measure, probes, np.asarray(rows[start:start + _CHUNK_ROWS]))
-        grouped = block[order]
-        firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-        hit = grouped[firsts]
-        minima[:, hit] = np.minimum(minima[:, hit],
-                                    np.minimum.reduceat(dmat[:, order], firsts, axis=1))
-    return names, minima
+    dmat = np.hstack([
+        pairwise_distances(measure, probes, np.asarray(rows[start:start + _CHUNK_ROWS]))
+        for start in range(0, len(cols), _CHUNK_ROWS)])
+    order = np.argsort(cols, kind="stable")
+    grouped = cols[order]
+    firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    return names, np.minimum.reduceat(dmat[:, order], firsts, axis=1)
 
 
 def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
@@ -156,7 +152,8 @@ def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
     dists = minima[0]
     # Columns are in sorted identity order, so a stable sort by distance
     # breaks ties toward the lexicographically smallest identity.
-    ranking = tuple((names[i], float(dists[i])) for i in np.argsort(dists, kind="stable"))
+    order = np.argsort(dists, kind="stable")
+    ranking = tuple(zip([names[i] for i in order.tolist()], dists[order].tolist()))
     return MatchResult(ranking[0][0], ranking[0][1], ranking)
 
 
@@ -444,10 +441,7 @@ def load_gallery(root) -> Gallery:
             except ValueError as exc:
                 raise FormatError(f"{ident_dir}: {exc}") from exc
         for path in paths:
-            fd = load_descriptor(path)
-            if fd.meta != meta:
-                raise MetaMismatch(f"{path}: descriptor meta {fd.meta} != gallery meta {meta}")
-            templates.append(Template(ident_dir.name, path.stem, fd))
+            templates.append(Template(ident_dir.name, path.stem, load_descriptor(path)))
     return Gallery(meta, tuple(templates))
 
 

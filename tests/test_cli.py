@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -176,9 +178,40 @@ def test_data_errors_exit_two(tmp_path, dataset_dir, gallery_dir):
     assert run(["evaluate", str(dataset_dir), "--train-k", "4"]) == 2
 
 
-def test_enroll_meta_flags_must_match_existing_gallery(dataset_dir, gallery_dir):
-    assert run(["enroll", str(gallery_dir), "idnew",
-                "--family", "haar", str(dataset_dir / "id000" / "s002.pgm")]) == 2
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_enroll_meta_flags_must_match_existing_gallery(tmp_path, dataset_dir, gallery_dir,
+                                                       capsys):
+    gal = tmp_path / "gal"
+    shutil.copytree(gallery_dir, gal)
+    before = _tree_bytes(gal)
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    capsys.readouterr()
+    for flags in (["--family", "haar"], ["--levels", "2"], ["--k", "32"]):
+        assert run(["enroll", str(gal), "idnew", *flags, probe]) == 2
+        assert capsys.readouterr().out == ""
+    assert _tree_bytes(gal) == before
+    # flags that repeat the stored parameters are accepted
+    assert run(["enroll", str(gal), "idnew", "--family", "sym8", "--levels", "3",
+                "--k", "64", probe]) == 0
+    assert (gal / "idnew" / "s002.sigfd").is_file()
+
+
+def test_corrupt_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir, capsys):
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    for corrupt in ("nan", "short"):
+        gal = tmp_path / corrupt
+        shutil.copytree(gallery_dir, gal)
+        path = gal / "id001" / "s000.sigfd"
+        lines = path.read_text().splitlines()
+        lines = lines[:-1] + ["nan"] if corrupt == "nan" else lines[:-1]
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["identify", str(gal), probe]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "FormatError" in captured.err and "s000.sigfd" in captured.err
 
 
 def test_help_exits_zero(capsys):

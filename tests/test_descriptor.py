@@ -4,7 +4,7 @@ import pytest
 from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
                               PipelineConfig, dft, extract_features,
                               load_descriptor, normalize_descriptor,
-                              save_descriptor, serialize_coefficients)
+                              save_descriptor)
 from sigfd.errors import (BadLength, BadLevels, DegenerateDescriptor,
                           FormatError, IoError)
 from sigfd.imaging import GrayImage, PreprocessConfig
@@ -55,6 +55,9 @@ def test_normalize_k_bounds():
         normalize_descriptor(a, 1)
     with pytest.raises(BadLength):
         normalize_descriptor(a, 7)
+    for k in (4.0, 4.5):  # slicing needs an integer count
+        with pytest.raises(BadLength):
+            normalize_descriptor(a, k)
 
 
 def test_normalize_degenerate_fundamental():
@@ -81,17 +84,6 @@ def test_descriptor_validates_magnitudes():
         FourierDescriptor(np.array([1.0, -0.5, 2.0]), meta)
     with pytest.raises(ValueError):
         FourierDescriptor(np.array([1.0, 2.0]), meta)
-
-
-# --- serialization of planes --------------------------------------------------------
-
-def test_serialize_is_row_major():
-    img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
-    dec = dwt2_multi(img, WaveletFamily.HAAR, 1)
-    seq = serialize_coefficients(dec)
-    assert seq.shape == (4,)
-    assert np.array_equal(seq, dec.approx.ravel())
-    assert abs(seq[1] - dec.approx[0, 1]) == 0.0
 
 
 # --- full extraction ----------------------------------------------------------------
@@ -135,7 +127,7 @@ def test_extract_features_scan_start_invariance():
                          preprocess=PreprocessConfig(slant_enabled=False,
                                                      target_size=(64, 64)))
     dec = dwt2_multi(GrayImage(img.pixels), cfg.family, cfg.levels)
-    seq = serialize_coefficients(dec)
+    seq = dec.approx.ravel()
     a = normalize_descriptor(dft(seq), cfg.k).magnitudes
     b = normalize_descriptor(dft(np.roll(seq, 3 * dec.approx.shape[1])), cfg.k).magnitudes
     assert np.abs(a - b).max() < 1e-9
@@ -184,6 +176,14 @@ def test_descriptor_file_rejects_corruption(tmp_path):
     path.write_text("SIGFD v1 db3 3 1\n1.0\n")
     with pytest.raises(FormatError):  # unknown family
         load_descriptor(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"SIGFD v1 sym8 3 2\n1.0\n{value}\n")
+        with pytest.raises(FormatError):  # non-finite magnitude
+            load_descriptor(path)
+    for header in ("SIGFD v1 sym8 3 0\n", "SIGFD v1 sym8 0 1\n1.0\n"):
+        path.write_text(header)
+        with pytest.raises(FormatError):  # k = 0, levels = 0
+            load_descriptor(path)
     with pytest.raises(IoError):
         load_descriptor(tmp_path / "missing.sigfd")
 
@@ -210,4 +210,7 @@ def test_pipeline_config_rejects_k_beyond_the_coarsest_plane():
         PipelineConfig(levels=2, k=15, preprocess=small)  # N = 4 * 4
     with pytest.raises(BadLength):
         PipelineConfig(k=1)
+    for k in (64.0, 64.5):  # in range, but not an integer count
+        with pytest.raises(BadLength):
+            PipelineConfig(k=k)
     assert PipelineConfig(levels=2, k=14, preprocess=small).k == 14

@@ -328,6 +328,50 @@ def test_warp_integer_translation_moves_content():
     out = warp_similarity(GrayImage(px), translation=(3.0, 2.0))
     assert out.pixels[6, 8] == 0
     assert out.pixels[4, 5] == BACKGROUND
+    # shifted by the full width or more, every tap falls outside the image
+    ink = GrayImage(np.zeros((5, 7), dtype=np.uint8))
+    for shift in ((7.0, 0.0), (-7.0, 0.0), (0.0, 5.0), (0.0, -12.5), (100.0, -100.0)):
+        assert (warp_similarity(ink, translation=shift).pixels == BACKGROUND).all()
+    # half a pixel across the border: the edge row/column blends ink with
+    # background, rint(127.5) = 128, and the rest stays ink
+    for (dx, dy), edge in (((0.5, 0.0), np.s_[:, 0]), ((-0.5, 0.0), np.s_[:, -1]),
+                           ((0.0, 0.5), np.s_[0, :]), ((0.0, -0.5), np.s_[-1, :])):
+        out = warp_similarity(ink, translation=(dx, dy)).pixels
+        expected = np.zeros_like(out)
+        expected[edge] = 128
+        assert np.array_equal(out, expected), (dx, dy)
+
+
+def _warp_reference(px, rotation, scale, dx, dy):
+    """Per-pixel bilinear inverse map; taps off the image read BACKGROUND."""
+    h, w = px.shape
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    ca, sa = math.cos(rotation), math.sin(rotation)
+    out = np.empty_like(px)
+    for r in range(h):
+        for c in range(w):
+            u, v = c - cx - dx, r - cy - dy
+            x = (ca * u + sa * v) / scale + cx
+            y = (-sa * u + ca * v) / scale + cy
+            x0, y0 = math.floor(x), math.floor(y)
+            acc = 0.0
+            for yi, wy in ((y0, 1.0 - (y - y0)), (y0 + 1, y - y0)):
+                for xi, wx in ((x0, 1.0 - (x - x0)), (x0 + 1, x - x0)):
+                    inside = 0 <= yi < h and 0 <= xi < w
+                    acc += wy * wx * (float(px[yi, xi]) if inside else float(BACKGROUND))
+            out[r, c] = min(max(round(acc), 0), 255)
+    return out
+
+
+def test_warp_matches_a_per_pixel_reference():
+    rng = np.random.default_rng(8)
+    for shape, rotation, scale, dx, dy in (((7, 9), 0.3, 1.0, 0.0, 0.0),
+                                           ((9, 7), -1.1, 0.8, 2.5, -1.25),
+                                           ((6, 6), 2.0, 1.7, -6.5, 4.0),
+                                           ((1, 5), 0.7, 0.5, 0.5, 0.5)):
+        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        out = warp_similarity(GrayImage(px), rotation, scale, (dx, dy)).pixels
+        assert np.array_equal(out, _warp_reference(px, rotation, scale, dx, dy)), shape
 
 
 def test_warp_rejects_nonpositive_scale():

@@ -32,8 +32,10 @@ def test_every_trace_site_resolves_on_the_live_modules(spans):
 
 
 def test_extraction_passes_through_its_trace_sites(spans):
+    # an ink triangle on paper: its dominant axis is tilted, so the
+    # deslant step rotates it
     px = np.full((64, 64), 255, dtype=np.uint8)
-    px[20:44, 10:54] = np.tril(np.ones((24, 44), dtype=np.uint8)) * 40
+    px[20:44, 10:54] = np.where(np.tril(np.ones((24, 44), dtype=bool)), 40, 255)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -43,5 +45,6 @@ def test_extraction_passes_through_its_trace_sites(spans):
         tracer.remove()
     seen = {name for _, _, name, *_ in tracer.spans}
     for name in ("imaging.preprocess", "imaging.median_filter", "imaging.binarize",
-                 "imaging.scale_normalize", "descriptor.dft", "descriptor.normalize_descriptor"):
+                 "imaging.estimate_orientation", "imaging.rotate", "imaging.scale_normalize",
+                 "descriptor.dft", "descriptor.normalize_descriptor"):
         assert name in seen
