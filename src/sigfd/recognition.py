@@ -9,14 +9,16 @@ enrollment order.
 
 import dataclasses
 import math
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 
-# `distance`, `dft`, `dwt2_multi` and `normalize_descriptor` are not called
-# here, but bench/spans.py traces calls by patching these module globals,
-# so every name it looks up on this module has to stay importable.
+# `distance`, `dft`, `dwt2_multi`, `normalize_descriptor` and `save_descriptor`
+# are not called here, but bench/spans.py traces calls by patching these
+# module globals, so every name it looks up on this module has to stay
+# importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
                          describe, dft, extract_features, load_descriptor,
                          normalize_descriptor, save_descriptor)
@@ -31,7 +33,7 @@ from .wavelet import WaveletFamily, dwt2_multi
 MANIFEST_NAME = "MANIFEST.siggal"
 
 _GAL_MAGIC = "SIGGAL"
-_GAL_VERSION = "v1"
+_GAL_VERSION = "v2"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -394,53 +396,107 @@ def report_to_csv(report: EvalReport) -> str:
 # --- gallery and dataset files --------------------------------------------------
 
 def save_gallery(gallery: Gallery, root) -> None:
-    """Write a manifest plus one descriptor file per template.
+    """Write the gallery as one packed file, <root>/MANIFEST.siggal.
 
-    Layout: <root>/MANIFEST.siggal and <root>/<identity>/<sample_id>.sigfd.
+    Layout: a `SIGGAL v2 <family> <levels> <k> <count>` header line, then
+    `count` `<identity> <sample_id>` index lines in enrollment order, then
+    the count x k magnitudes as little-endian float64.  The file is written
+    to MANIFEST.siggal.tmp and moved over the manifest with `os.replace`,
+    so a save that fails leaves the previous gallery as it was.
     """
     meta = gallery.meta
     if meta.family is None or meta.levels is None:
         raise ValueError("gallery meta must carry family and levels to be saved")
+    # a space or newline in a name would break the index it is written to
+    for t in gallery.templates:
+        _check_name(t.identity, "identity")
+        _check_name(t.sample_id, "sample_id")
+    lines = [f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
+             f"{len(gallery.templates)}"]
+    lines += [f"{t.identity} {t.sample_id}" for t in gallery.templates]
+    payload = np.array([t.descriptor.magnitudes for t in gallery.templates], dtype="<f8")
+    data = ("\n".join(lines) + "\n").encode("ascii") + payload.tobytes()
     root = Path(root)
+    manifest = root / MANIFEST_NAME
+    tmp = root / (MANIFEST_NAME + ".tmp")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        (root / MANIFEST_NAME).write_text(
-            f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k}\n",
-            encoding="ascii")
-    except OSError as exc:
-        raise IoError(f"cannot write gallery under {root}: {exc}") from exc
-    for t in gallery.templates:
-        ident_dir = root / t.identity
         try:
-            ident_dir.mkdir(exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot create {ident_dir}: {exc}") from exc
-        save_descriptor(t.descriptor, ident_dir / f"{t.sample_id}.sigfd")
+            tmp.write_bytes(data)
+            os.replace(tmp, manifest)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot write gallery {manifest}: {exc}") from exc
+
+
+def _manifest_meta(manifest: Path, family: str, levels: str, k: str) -> DescriptorMeta:
+    try:
+        meta = DescriptorMeta(WaveletFamily.parse(family), int(levels), int(k))
+    except ValueError as exc:
+        raise FormatError(f"{manifest}: {exc}") from exc
+    if meta.levels < 1 or meta.k < 1:
+        raise FormatError(f"{manifest}: bad header values levels={meta.levels} k={meta.k}")
+    return meta
 
 
 def load_gallery(root) -> Gallery:
+    """Read a gallery written by `save_gallery`, or a read-only v1 gallery.
+
+    A v2 manifest holds every template; `*.sigfd` files beside it are
+    ignored.  Each template's magnitudes are a read-only row of one
+    matrix over the file's payload.
+    """
     root = Path(root)
     manifest = root / MANIFEST_NAME
     try:
-        header = manifest.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = manifest.read_bytes()
+    except OSError as exc:
         raise IoError(f"cannot read {manifest}: {exc}") from exc
-    fields = header.split()
-    if len(fields) != 5 or fields[0] != _GAL_MAGIC or fields[1] != _GAL_VERSION:
-        raise FormatError(f"{manifest}: bad gallery header {header!r}")
+    head, _, rest = data.partition(b"\n")
     try:
-        meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
+        header = head.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{manifest}: bad gallery header: {exc}") from exc
+    fields = header.split()
+    if fields[:2] == [_GAL_MAGIC, "v1"] and len(fields) == 5 and not rest.strip():
+        return _load_v1(root, _manifest_meta(manifest, *fields[2:]))
+    if len(fields) != 6 or fields[:2] != [_GAL_MAGIC, _GAL_VERSION]:
+        raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
+    meta = _manifest_meta(manifest, *fields[2:5])
+    # every index line takes at least one byte, which bounds count before
+    # it sizes the split and the payload
+    if not fields[5].isdigit() or int(fields[5]) > len(rest):
+        raise FormatError(f"{manifest}: bad template count {fields[5]!r}")
+    count = int(fields[5])
+    index = rest.split(b"\n", count)
+    payload = index.pop()
+    if len(index) != count or len(payload) != 8 * count * meta.k:
+        raise FormatError(f"{manifest}: {count} templates need {count} index lines and "
+                          f"{8 * count * meta.k} payload bytes")
+    rows = np.frombuffer(payload, dtype="<f8").reshape(count, meta.k)
+    templates = []
+    try:
+        for line, mags in zip(index, rows):
+            identity, _, sample_id = line.decode("ascii").partition(" ")
+            templates.append(Template(_check_name(identity, "identity"),
+                                      _check_name(sample_id, "sample_id"),
+                                      FourierDescriptor(mags, meta)))
     except ValueError as exc:
-        raise FormatError(f"{manifest}: {exc}") from exc
+        raise FormatError(f"{manifest}: template {len(templates)}: {exc}") from exc
+    return Gallery(meta, tuple(templates))
+
+
+def _load_v1(root: Path, meta: DescriptorMeta) -> Gallery:
+    """The v1 layout: one <identity>/<sample_id>.sigfd file per template."""
     templates = []
     for ident_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        paths = sorted(ident_dir.glob("*.sigfd"))
-        if paths:
+        for path in sorted(ident_dir.glob("*.sigfd")):
             try:
                 _check_name(ident_dir.name, "identity")
+                _check_name(path.stem, "sample_id")
             except ValueError as exc:
-                raise FormatError(f"{ident_dir}: {exc}") from exc
-        for path in paths:
+                raise FormatError(f"{path}: {exc}") from exc
             templates.append(Template(ident_dir.name, path.stem, load_descriptor(path)))
     return Gallery(meta, tuple(templates))
 

@@ -1,13 +1,15 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
-from sigfd.descriptor import DescriptorMeta, PipelineConfig
-from sigfd.imaging import GrayImage, PreprocessConfig, save_image
+from sigfd.descriptor import DescriptorMeta, PipelineConfig, extract_features
+from sigfd.imaging import GrayImage, PreprocessConfig, load_image, save_image
 from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
-from sigfd.recognition import SynthSpec, generate_synthetic, save_dataset
+from sigfd.recognition import (SynthSpec, Template, generate_synthetic,
+                               load_gallery, save_dataset)
 from sigfd.wavelet import WaveletFamily
 
 
@@ -182,28 +184,85 @@ def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_enroll_meta_flags_must_match_existing_gallery(tmp_path, dataset_dir, gallery_dir,
-                                                       capsys):
-    gal = tmp_path / "gal"
-    shutil.copytree(gallery_dir, gal)
+def _keys(gallery):
+    return [(t.identity, t.sample_id) for t in gallery.templates]
+
+
+def _refuse_meta_changes(gal, probe, capsys):
     before = _tree_bytes(gal)
-    probe = str(dataset_dir / "id000" / "s002.pgm")
     capsys.readouterr()
     for flags in (["--family", "haar"], ["--levels", "2"], ["--k", "32"]):
         assert run(["enroll", str(gal), "idnew", *flags, probe]) == 2
         assert capsys.readouterr().out == ""
     assert _tree_bytes(gal) == before
+
+
+def test_enroll_meta_flags_must_match_existing_gallery(tmp_path, dataset_dir, gallery_dir,
+                                                       capsys):
+    gal = tmp_path / "gal"
+    shutil.copytree(gallery_dir, gal)
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    _refuse_meta_changes(gal, probe, capsys)
     # flags that repeat the stored parameters are accepted
     assert run(["enroll", str(gal), "idnew", "--family", "sym8", "--levels", "3",
                 "--k", "64", probe]) == 0
-    assert (gal / "idnew" / "s002.sigfd").is_file()
+    assert _keys(load_gallery(gal))[-1] == ("idnew", "s002")
+    assert list(_tree_bytes(gal)) == [Path("MANIFEST.siggal")]
+
+
+def test_enroll_meta_flags_must_match_existing_v1_gallery(tmp_path, dataset_dir, gallery_dir,
+                                                          write_v1_gallery, capsys):
+    gal = write_v1_gallery(load_gallery(gallery_dir), tmp_path / "gal")
+    _refuse_meta_changes(gal, str(dataset_dir / "id000" / "s002.pgm"), capsys)
+
+
+def test_enroll_migrates_a_v1_gallery_to_v2(tmp_path, dataset_dir, gallery_dir,
+                                            write_v1_gallery, capsys):
+    old = load_gallery(gallery_dir)
+    gal = write_v1_gallery(old, tmp_path / "gal")
+    v1_files = _tree_bytes(gal)
+    probe = dataset_dir / "id001" / "s002.pgm"
+    capsys.readouterr()
+    assert run(["identify", str(gallery_dir), str(probe)]) == 0
+    v2_answer = capsys.readouterr().out
+    assert run(["identify", str(gal), str(probe)]) == 0
+    assert capsys.readouterr().out == v2_answer
+    new = dataset_dir / "id002" / "s003.pgm"
+    assert run(["enroll", str(gal), "idnew", str(new)]) == 0
+    assert capsys.readouterr().out == "enrolled 1 sample(s) for idnew\n"
+    assert (gal / "MANIFEST.siggal").read_bytes().startswith(b"SIGGAL v2 sym8 3 64 7\n")
+    migrated = load_gallery(gal)
+    want = old.templates + (Template("idnew", "s003", extract_features(load_image(new))),)
+    assert _keys(migrated) == [(t.identity, t.sample_id) for t in want]
+    assert [t.descriptor.magnitudes.tobytes() for t in migrated.templates] == \
+        [t.descriptor.magnitudes.tobytes() for t in want]
+    # the v1 descriptor files stay on disk as they were, and are no longer read
+    after = _tree_bytes(gal)
+    assert all(after[p] == data for p, data in v1_files.items() if p.suffix == ".sigfd")
+    (gal / "id000" / "s000.sigfd").write_text("not a descriptor\n")
+    assert run(["identify", str(gal), str(probe)]) == 0
+    assert capsys.readouterr().out == v2_answer
 
 
 def test_corrupt_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir, capsys):
     probe = str(dataset_dir / "id000" / "s002.pgm")
-    for corrupt in ("nan", "short"):
+    good = (gallery_dir / "MANIFEST.siggal").read_bytes()
+    nan = np.array(np.nan, dtype="<f8").tobytes()
+    for corrupt, data in (("nan", good[:-8] + nan), ("short", good[:-8])):
         gal = tmp_path / corrupt
-        shutil.copytree(gallery_dir, gal)
+        gal.mkdir()
+        (gal / "MANIFEST.siggal").write_bytes(data)
+        assert run(["identify", str(gal), probe]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "FormatError" in captured.err and "MANIFEST.siggal" in captured.err
+
+
+def test_corrupt_v1_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir,
+                                             write_v1_gallery, capsys):
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    for corrupt in ("nan", "short"):
+        gal = write_v1_gallery(load_gallery(gallery_dir), tmp_path / corrupt)
         path = gal / "id001" / "s000.sigfd"
         lines = path.read_text().splitlines()
         lines = lines[:-1] + ["nan"] if corrupt == "nan" else lines[:-1]

@@ -1,3 +1,5 @@
+import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -310,18 +312,39 @@ def test_report_validates_shape_and_range():
 
 # --- persistence ------------------------------------------------------------------
 
+def _assert_same_gallery(got, want):
+    """Same meta, same keys in the same order, bit-identical magnitudes."""
+    assert got.meta == want.meta
+    assert [(t.identity, t.sample_id) for t in got.templates] == \
+        [(t.identity, t.sample_id) for t in want.templates]
+    assert [t.descriptor.magnitudes.tobytes() for t in got.templates] == \
+        [t.descriptor.magnitudes.tobytes() for t in want.templates]
+
+
 def test_gallery_round_trip(tmp_path, tiny_gallery):
     root = tmp_path / "gal"
     save_gallery(tiny_gallery, root)
-    assert (root / "MANIFEST.siggal").read_text() == "SIGGAL v1 sym8 3 64\n"
+    assert [p.name for p in root.iterdir()] == ["MANIFEST.siggal"]
+    head = "SIGGAL v2 sym8 3 64 6\n" + "".join(
+        f"{t.identity} {t.sample_id}\n" for t in tiny_gallery.templates)
+    data = (root / "MANIFEST.siggal").read_bytes()
+    assert data == head.encode() + np.array(
+        [t.descriptor.magnitudes for t in tiny_gallery.templates], dtype="<f8").tobytes()
     back = load_gallery(root)
-    assert back.meta == tiny_gallery.meta
-    keys = sorted((t.identity, t.sample_id) for t in tiny_gallery.templates)
-    assert sorted((t.identity, t.sample_id) for t in back.templates) == keys
-    by_key = {(t.identity, t.sample_id): t for t in back.templates}
-    for t in tiny_gallery.templates:
-        assert np.array_equal(by_key[(t.identity, t.sample_id)].descriptor.magnitudes,
-                              t.descriptor.magnitudes)
+    _assert_same_gallery(back, tiny_gallery)
+    assert not back.templates[0].descriptor.magnitudes.flags.writeable
+    save_gallery(new_gallery(CFG), tmp_path / "empty")
+    _assert_same_gallery(load_gallery(tmp_path / "empty"), new_gallery(CFG))
+
+
+def test_v1_gallery_loads_bit_identically(tmp_path, tiny_gallery, write_v1_gallery):
+    root = write_v1_gallery(tiny_gallery, tmp_path / "gal")
+    # v1 lists templates by path, which here is also their enrollment order
+    _assert_same_gallery(load_gallery(root), tiny_gallery)
+    # a v2 save over it takes over, and the leftover descriptor files are ignored
+    save_gallery(tiny_gallery, root)
+    (root / "id000" / "s0.sigfd").write_text("not a descriptor\n")
+    _assert_same_gallery(load_gallery(root), tiny_gallery)
 
 
 def test_gallery_load_errors(tmp_path, tiny_gallery):
@@ -329,21 +352,37 @@ def test_gallery_load_errors(tmp_path, tiny_gallery):
         load_gallery(tmp_path / "missing")
     root = tmp_path / "bad"
     root.mkdir()
-    (root / "MANIFEST.siggal").write_text("BOGUS v1 sym8 3 64\n")
+    (root / "MANIFEST.siggal").write_text("BOGUS v2 sym8 3 64 0\n")
     with pytest.raises(FormatError):
         load_gallery(root)
-    root2 = tmp_path / "drift"
+    root2 = tmp_path / "corrupt"
     save_gallery(tiny_gallery, root2)
-    victim = next(root2.glob("id000/*.sigfd"))
+    manifest = root2 / "MANIFEST.siggal"
+    good = manifest.read_bytes()
+    for bad in (good[:-8] + np.array(np.nan, dtype="<f8").tobytes(), good[:-1]):
+        manifest.write_bytes(bad)
+        with pytest.raises(FormatError, match="MANIFEST.siggal"):
+            load_gallery(root2)
+
+
+def test_gallery_load_errors_v1(tmp_path, tiny_gallery, write_v1_gallery):
+    root = write_v1_gallery(tiny_gallery, tmp_path / "drift")
+    victim = root / "id000" / "s0.sigfd"
     text = victim.read_text().splitlines()
     victim.write_text("\n".join(["SIGFD v1 haar 3 64"] + text[1:]) + "\n")
     with pytest.raises(MetaMismatch):
-        load_gallery(root2)
+        load_gallery(root)
+    victim.write_text("\n".join(text[:-1] + ["nan"]) + "\n")
+    with pytest.raises(FormatError, match="s0.sigfd"):
+        load_gallery(root)
+    (root / "MANIFEST.siggal").write_text("SIGGAL v1 sym8 3\n")
+    with pytest.raises(FormatError, match="MANIFEST.siggal"):
+        load_gallery(root)
 
 
-def test_gallery_load_rejects_bad_identity_directory_names(tmp_path, tiny_gallery):
-    root = tmp_path / "gal"
-    save_gallery(tiny_gallery, root)
+def test_gallery_load_rejects_bad_identity_directory_names(tmp_path, tiny_gallery,
+                                                           write_v1_gallery):
+    root = write_v1_gallery(tiny_gallery, tmp_path / "gal")
     (root / "notes and scans").mkdir()  # holds no descriptors, so it is no identity
     assert len(load_gallery(root).templates) == len(tiny_gallery.templates)
     for bad in ("-id000", "id 000", ".id000"):
@@ -351,6 +390,142 @@ def test_gallery_load_rejects_bad_identity_directory_names(tmp_path, tiny_galler
         with pytest.raises(FormatError, match="identity"):
             load_gallery(root)
         (root / bad).rename(root / "id000")
+    # sample ids come from file stems and face the same check
+    good = root / "id000" / "s1.sigfd"
+    for bad in ("s 1", "-s1", ".s1"):
+        good.rename(good.with_name(f"{bad}.sigfd"))
+        with pytest.raises(FormatError, match="sample_id"):
+            load_gallery(root)
+        good.with_name(f"{bad}.sigfd").rename(good)
+
+
+_BAD_NAMES = ("s 1", "", "-s1", ".s1", "a\nb", "s\u00e9")
+
+
+def test_save_gallery_rejects_bad_names_before_writing(tmp_path, tiny_gallery):
+    fd = tiny_gallery.templates[0].descriptor
+    for bad in _BAD_NAMES:
+        for what, template in (("sample_id", Template("id000", bad, fd)),
+                               ("identity", Template(bad, "s0", fd))):
+            with pytest.raises(ValueError, match=what):
+                save_gallery(Gallery(tiny_gallery.meta, (template,)), tmp_path / "never")
+    assert not (tmp_path / "never").exists()
+
+
+def test_gallery_load_rejects_bad_names_in_the_index(tmp_path, tiny_gallery):
+    root = tmp_path / "gal"
+    save_gallery(tiny_gallery, root)
+    manifest = root / "MANIFEST.siggal"
+    good = manifest.read_bytes()
+    lines = [f"id000 {bad}" for bad in _BAD_NAMES if "\n" not in bad]
+    lines += ["-id000 s1", "id000 s1 extra", "id000\ts1", "id000  s1"]
+    for line in lines:
+        manifest.write_bytes(good.replace(b"id000 s1", line.encode(), 1))
+        with pytest.raises(FormatError, match="MANIFEST.siggal"):
+            load_gallery(root)
+
+
+def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_gallery,
+                                                 monkeypatch):
+    root = tmp_path / "gal"
+    save_gallery(tiny_gallery, root)
+    before = (root / "MANIFEST.siggal").read_bytes()
+    bigger = enroll(tiny_gallery, "id000", "s2", tiny_dataset["id000"][2], CFG)
+    write_bytes = Path.write_bytes
+
+    def write_half(self, data):
+        write_bytes(self, data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def refuse(src, dst):
+        raise OSError(13, "Permission denied")
+
+    for target, name, fault in ((Path, "write_bytes", write_half), (os, "replace", refuse)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fault)
+            with pytest.raises(IoError):
+                save_gallery(bigger, root)
+        assert [p.name for p in root.iterdir()] == ["MANIFEST.siggal"]
+        assert (root / "MANIFEST.siggal").read_bytes() == before
+        _assert_same_gallery(load_gallery(root), tiny_gallery)
+
+
+# A three-template gallery with k = 4 keeps every truncation point cheap.
+_FUZZ_META = DescriptorMeta(WaveletFamily.HAAR, 2, 4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifest(tmp_path_factory):
+    rng = np.random.default_rng(5)
+    templates = tuple(Template(identity, sample, FourierDescriptor(rng.random(4), _FUZZ_META))
+                      for identity, sample in (("ann", "s0"), ("ann", "s1"), ("bo", "s0")))
+    root = tmp_path_factory.mktemp("fuzz")
+    save_gallery(Gallery(_FUZZ_META, templates), root)
+    return root, (root / "MANIFEST.siggal").read_bytes()
+
+
+def _load_manifest(root, data):
+    """Load `data` as the manifest; a `FormatError` must name the manifest file."""
+    (root / "MANIFEST.siggal").write_bytes(data)
+    try:
+        return load_gallery(root)
+    except FormatError as exc:
+        assert "MANIFEST.siggal" in str(exc)
+        raise
+
+
+def test_truncated_manifest_is_a_format_error(fuzz_manifest):
+    root, good = fuzz_manifest
+    for end in range(len(good)):
+        with pytest.raises(FormatError):
+            _load_manifest(root, good[:end])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_flipped_header_or_index_bytes_load_or_raise_a_data_error(fuzz_manifest, data):
+    root, good = fuzz_manifest
+    text_end = len(good) - 3 * 4 * 8
+    flips = data.draw(st.lists(st.tuples(st.integers(0, text_end - 1), st.integers(0, 255)),
+                               min_size=1, max_size=3))
+    mangled = bytearray(good)
+    for at, value in flips:
+        mangled[at] = value
+    try:
+        _load_manifest(root, bytes(mangled))
+    except (FormatError, MetaMismatch, DuplicateSample):
+        pass
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda b: b.replace(b" 3\n", b" 4\n", 1),
+    lambda b: b.replace(b" 3\n", b" 2\n", 1),
+    lambda b: b.replace(b" 3\n", b" 0\n", 1),
+    lambda b: b.replace(b" 3\n", b" -1\n", 1),
+    lambda b: b.replace(b" 3\n", b" 99999999999999999999999\n", 1),
+    lambda b: b + b"\0",
+    lambda b: b + b"\n",
+    lambda b: b.replace(b"bo s0", "b\u00f6 s0".encode(), 1),
+    lambda b: b.replace(b"bo s0", b"b\xf6 s0", 1),
+    lambda b: b.replace(b"SIGGAL", b"SIGG\xc3\x84L", 1),
+    lambda b: b.replace(b"haar 2 4", b"haar 0 4", 1),
+    lambda b: b"SIGGAL v2 haar 2 0 0\n",
+], ids=["count+1", "count-1", "count=0", "count<0", "count huge", "trailing NUL",
+        "trailing newline", "utf-8 name", "latin-1 name", "non-ascii magic", "levels=0",
+        "k=0"])
+def test_malformed_manifest_is_a_format_error(fuzz_manifest, mangle):
+    root, good = fuzz_manifest
+    with pytest.raises(FormatError):
+        _load_manifest(root, mangle(good))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+def test_payload_outside_the_magnitude_range_is_a_format_error(fuzz_manifest, value):
+    root, good = fuzz_manifest
+    bad = np.array(value, dtype="<f8").tobytes()
+    for at in (len(good) - 3 * 4 * 8, len(good) - 8):
+        with pytest.raises(FormatError):
+            _load_manifest(root, good[:at] + bad + good[at + 8:])
 
 
 def test_dataset_round_trip(tmp_path, tiny_dataset):
