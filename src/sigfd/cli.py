@@ -13,10 +13,10 @@ from .descriptor import DescriptorMeta, PipelineConfig
 from .errors import SigfdError
 from .imaging import PreprocessConfig, load_image, preprocess, save_image
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
-from .recognition import (MANIFEST_NAME, SynthSpec, enroll, evaluate,
+from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, enroll, evaluate,
                           generate_synthetic, identify, load_dataset,
-                          load_gallery, new_gallery, report_to_csv,
-                          save_dataset, save_gallery, verify)
+                          load_gallery, report_to_csv, save_dataset,
+                          save_gallery, verify)
 from .wavelet import WaveletFamily, dwt2_multi, subband_images
 
 
@@ -124,11 +124,10 @@ def _cmd_enroll(args) -> int:
     root = Path(args.gallery)
     gallery = load_gallery(root) if (root / MANIFEST_NAME).exists() else None
     config = pipeline_from_args(args, None if gallery is None else gallery.meta)
+    samples = [(Path(path).stem, load_image(path)) for path in args.images]
     if gallery is None:
-        gallery = new_gallery(config)
-    for path in args.images:
-        gallery = enroll(gallery, args.identity, Path(path).stem, load_image(path), config)
-    save_gallery(gallery, root)
+        gallery = Gallery(config.meta)
+    save_gallery(enroll(gallery, args.identity, samples, config), root)
     print(f"enrolled {len(args.images)} sample(s) for {args.identity}")
     return 0
 

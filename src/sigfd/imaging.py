@@ -172,12 +172,10 @@ def median_filter(img: GrayImage, window: int = 3) -> GrayImage:
     """Median over a window x window neighborhood, edges replicated.
 
     The default 3x3 window runs an exchange network over the nine shifted
-    views; larger windows take `np.median` over a sliding-window view.
+    views; other windows take `np.median` over a sliding-window view.
     """
     if not isinstance(window, int) or window < 1 or window % 2 == 0:
         raise BadWindow(f"median window must be an odd integer >= 1, got {window!r}")
-    if window == 1:
-        return GrayImage(img.pixels.copy())
     pad = window // 2
     padded = np.pad(img.pixels, pad, mode="edge")
     if window == 3:
@@ -281,8 +279,6 @@ def warp_similarity(img: GrayImage, rotation: float = 0.0, scale: float = 1.0,
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     dx, dy = float(translation[0]), float(translation[1])
-    if rotation == 0.0 and scale == 1.0 and dx == 0.0 and dy == 0.0:
-        return GrayImage(img.pixels.copy())
     h, w = img.pixels.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     yy, xx = np.meshgrid(np.arange(h) - cy - dy, np.arange(w) - cx - dx, indexing="ij")

@@ -58,30 +58,66 @@ class Template:
     descriptor: FourierDescriptor
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, init=False)
 class Gallery:
-    """Immutable template store; enrollment returns a new gallery."""
+    """Immutable template store; enrollment returns a new gallery.
+
+    Template t is (`identities[t]`, `sample_ids[t]`) in enrollment order, with
+    row t of the read-only (count, k) `magnitudes` and identity `names[columns[t]]`.
+    """
 
     meta: DescriptorMeta
-    templates: tuple[Template, ...] = ()
+    identities: tuple[str, ...]
+    sample_ids: tuple[str, ...]
+    magnitudes: np.ndarray
+    names: tuple[str, ...]
+    columns: np.ndarray
 
-    def __post_init__(self):
-        seen = set()
-        for t in self.templates:
-            key = (t.identity, t.sample_id)
-            if key in seen:
-                raise DuplicateSample(f"{key!r} enrolled twice")
-            seen.add(key)
-            if t.descriptor.meta != self.meta:
-                raise MetaMismatch(
-                    f"template {key!r} has meta {t.descriptor.meta}, gallery has {self.meta}")
+    def __new__(cls, meta: DescriptorMeta, templates: tuple[Template, ...] = ()):
+        for t in templates:
+            # records usually share their gallery's meta object, and `is` is cheap
+            if t.descriptor.meta is not meta and t.descriptor.meta != meta:
+                raise MetaMismatch(f"template {(t.identity, t.sample_id)!r} has meta "
+                                   f"{t.descriptor.meta}, gallery has {meta}")
+        mags = np.array([t.descriptor.magnitudes for t in templates], dtype=np.float64)
+        return cls._from_columns(meta, tuple(t.identity for t in templates),
+                                 tuple(t.sample_id for t in templates),
+                                 mags.reshape(len(templates), meta.k))
 
-    def identities(self) -> list[str]:
-        return sorted({t.identity for t in self.templates})
+    @classmethod
+    def _from_columns(cls, meta, identities, sample_ids, magnitudes) -> "Gallery":
+        """The one place a gallery is checked and built; `magnitudes` becomes read-only."""
+        mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
+        if len(sample_ids) != len(identities) or mags.shape != (len(identities), meta.k):
+            raise ValueError(f"need {len(identities)} sample ids and rows of {meta.k}, got "
+                             f"{len(sample_ids)} and a matrix of shape {mags.shape}")
+        # min() and max() propagate nan, which fails both comparisons
+        if mags.size and not (mags.min() >= 0 and mags.max() < np.inf):
+            raise ValueError("magnitudes must be finite and nonnegative")
+        if len(set(zip(identities, sample_ids))) < len(identities):
+            seen = set()
+            key = next(k for k in zip(identities, sample_ids) if k in seen or seen.add(k))
+            raise DuplicateSample(f"{key!r} enrolled twice")
+        names = tuple(sorted(set(identities)))
+        column = {name: i for i, name in enumerate(names)}
+        columns = np.array([column[i] for i in identities], dtype=np.intp)
+        mags.flags.writeable = columns.flags.writeable = False
+        gallery = object.__new__(cls)
+        # the fields are frozen, so they are written past __setattr__
+        vars(gallery).update(meta=meta, identities=identities, sample_ids=sample_ids,
+                             magnitudes=mags, names=names, columns=columns)
+        return gallery
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt, and so re-checked, through the column constructor
+        return Gallery._from_columns, (self.meta, self.identities, self.sample_ids, self.magnitudes)
 
-def new_gallery(config: PipelineConfig) -> Gallery:
-    return Gallery(config.meta)
+    @property
+    def templates(self) -> tuple[Template, ...]:
+        """The gallery as `Template` records in enrollment order, built on each access."""
+        return tuple(Template(identity, sample_id, FourierDescriptor(row, self.meta))
+                     for identity, sample_id, row
+                     in zip(self.identities, self.sample_ids, self.magnitudes))
 
 
 def _check_meta(gallery: Gallery, config: PipelineConfig) -> None:
@@ -89,14 +125,16 @@ def _check_meta(gallery: Gallery, config: PipelineConfig) -> None:
         raise MetaMismatch(f"config meta {config.meta} != gallery meta {gallery.meta}")
 
 
-def enroll(gallery: Gallery, identity: str, sample_id: str, img: GrayImage,
+def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]],
            config: PipelineConfig) -> Gallery:
-    """Extract features for one labeled sample; `Gallery` rejects a duplicate."""
+    """Add `(sample_id, image)` pairs of one identity; `Gallery` rejects a key twice."""
     _check_meta(gallery, config)
     _check_name(identity, "identity")
-    _check_name(sample_id, "sample_id")
-    fd = extract_features(img, config)
-    return Gallery(gallery.meta, gallery.templates + (Template(identity, sample_id, fd),))
+    sample_ids = tuple(_check_name(sample_id, "sample_id") for sample_id, _ in samples)
+    rows = [extract_features(img, config).magnitudes for _, img in samples]
+    return Gallery._from_columns(gallery.meta, gallery.identities + (identity,) * len(rows),
+                                 gallery.sample_ids + sample_ids,
+                                 np.vstack([gallery.magnitudes, *rows]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,59 +153,55 @@ class VerifyResult:
 
 
 def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) -> FourierDescriptor:
-    if not gallery.templates:
+    if not gallery.identities:
         raise EmptyGallery("gallery has no enrolled templates")
     _check_meta(gallery, config)
     return extract_features(probe, config)
 
 
-def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows,
-                     owners) -> tuple[list, np.ndarray]:
+def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows: np.ndarray,
+                     columns: np.ndarray) -> np.ndarray:
     """Closest-template distance per identity for each probe.
 
-    `probes` is (P, k); template t has magnitudes `rows[t]` and identity
-    `owners[t]`.  Returns the sorted identities and the (P, identities)
-    minima in that column order.  Distances are computed _CHUNK_ROWS
-    template rows at a time into one (P, T) matrix whose columns are then
-    grouped by identity and reduced with one `np.minimum.reduceat`; `min`
-    is exact, so neither enrollment order nor chunking changes a result.
+    `probes` is (P, k) and `rows` is (T, k); template t has identity column
+    `columns[t]`.  Returns the (P, distinct columns) minima in ascending
+    column order.  Distances are computed _CHUNK_ROWS template rows at a
+    time into one (P, T) matrix whose columns are then grouped by identity
+    and reduced with one `np.minimum.reduceat`; `min` is exact, so neither
+    enrollment order nor chunking changes a result.
     """
-    names = sorted(set(owners))
-    column = {name: i for i, name in enumerate(names)}
-    cols = np.array([column[o] for o in owners], dtype=np.intp)
-    dmat = np.hstack([
-        pairwise_distances(measure, probes, np.asarray(rows[start:start + _CHUNK_ROWS]))
-        for start in range(0, len(cols), _CHUNK_ROWS)])
-    order = np.argsort(cols, kind="stable")
-    grouped = cols[order]
+    dmat = np.hstack([pairwise_distances(measure, probes, rows[start:start + _CHUNK_ROWS])
+                      for start in range(0, len(rows), _CHUNK_ROWS)])
+    order = np.argsort(columns, kind="stable")
+    grouped = columns[order]
     firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    return names, np.minimum.reduceat(dmat[:, order], firsts, axis=1)
+    return np.minimum.reduceat(dmat[:, order], firsts, axis=1)
 
 
 def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
              config: PipelineConfig) -> MatchResult:
     """Rank identities by their closest template to the probe."""
     fd = _probe_features(gallery, probe, config)
-    names, minima = _identity_minima(measure, fd.magnitudes[None],
-                                     [t.descriptor.magnitudes for t in gallery.templates],
-                                     [t.identity for t in gallery.templates])
-    dists = minima[0]
+    dists = _identity_minima(measure, fd.magnitudes[None], gallery.magnitudes,
+                             gallery.columns)[0]
     # Columns are in sorted identity order, so a stable sort by distance
     # breaks ties toward the lexicographically smallest identity.
     order = np.argsort(dists, kind="stable")
-    ranking = tuple(zip([names[i] for i in order.tolist()], dists[order].tolist()))
+    ranking = tuple(zip([gallery.names[i] for i in order.tolist()], dists[order].tolist()))
     return MatchResult(ranking[0][0], ranking[0][1], ranking)
 
 
 def verify(gallery: Gallery, claimed: str, probe: GrayImage, measure: DistanceMeasure,
            threshold: float, config: PipelineConfig) -> VerifyResult:
     """Accept the claimed identity when its closest template is within threshold."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
     fd = _probe_features(gallery, probe, config)
-    rows = [t.descriptor.magnitudes for t in gallery.templates if t.identity == claimed]
-    if not rows:
+    if claimed not in gallery.names:
         raise UnknownIdentity(f"{claimed!r} has no enrolled templates")
-    _, minima = _identity_minima(measure, fd.magnitudes[None], rows, [claimed] * len(rows))
-    d = float(minima[0, 0])
+    rows = gallery.magnitudes[gallery.columns == gallery.names.index(claimed)]
+    d = float(_identity_minima(measure, fd.magnitudes[None], rows,
+                               np.zeros(len(rows), dtype=np.intp))[0, 0])
     return VerifyResult(d <= threshold, d)
 
 
@@ -198,11 +232,11 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_identities < 1 or self.samples_per_identity < 1:
             raise ValueError("need at least one identity and one sample each")
-        if self.rotation_deg < 0 or self.translation_px < 0:
-            raise ValueError("rotation and translation ranges must be nonnegative")
+        if not (0 <= self.rotation_deg < math.inf and 0 <= self.translation_px < math.inf):
+            raise ValueError("rotation and translation ranges must be finite and nonnegative")
         lo, hi = self.scale_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"scale range must be 0 < lo <= hi, got {self.scale_range!r}")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"scale range must be 0 < lo <= hi < inf, got {self.scale_range!r}")
         if not 0 <= self.noise_fraction <= 0.2:
             raise ValueError(f"noise fraction must be in [0, 0.2], got {self.noise_fraction!r}")
 
@@ -367,7 +401,7 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     pre = {label: [preprocess(img, config.preprocess) for img in dataset[label]]
            for label in labels}
     probe_labels = np.repeat(np.arange(len(labels)), [len(test_idx[l]) for l in labels])
-    owners = [label for label in labels for _ in range(train_k)]
+    owners = np.repeat(np.arange(len(labels)), train_k)
 
     rates = np.zeros((len(measures), len(families)))
     for fi, family in enumerate(families):
@@ -377,7 +411,7 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
         train = np.vstack([feats[label][train_idx[label]] for label in labels])
         probes = np.vstack([feats[label][test_idx[label]] for label in labels])
         for mi, measure in enumerate(measures):
-            _, minima = _identity_minima(measure, probes, train, owners)
+            minima = _identity_minima(measure, probes, train, owners)
             predicted = np.argmin(minima, axis=1)
             rates[mi, fi] = 100.0 * float(np.mean(predicted == probe_labels))
 
@@ -407,15 +441,12 @@ def save_gallery(gallery: Gallery, root) -> None:
     meta = gallery.meta
     if meta.family is None or meta.levels is None:
         raise ValueError("gallery meta must carry family and levels to be saved")
-    # a space or newline in a name would break the index it is written to
-    for t in gallery.templates:
-        _check_name(t.identity, "identity")
-        _check_name(t.sample_id, "sample_id")
     lines = [f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
-             f"{len(gallery.templates)}"]
-    lines += [f"{t.identity} {t.sample_id}" for t in gallery.templates]
-    payload = np.array([t.descriptor.magnitudes for t in gallery.templates], dtype="<f8")
-    data = ("\n".join(lines) + "\n").encode("ascii") + payload.tobytes()
+             f"{len(gallery.identities)}"]
+    # a space or newline in a name would break the index it is written to
+    lines += [f"{_check_name(identity, 'identity')} {_check_name(sample_id, 'sample_id')}"
+              for identity, sample_id in zip(gallery.identities, gallery.sample_ids)]
+    data = ("\n".join(lines) + "\n").encode("ascii") + gallery.magnitudes.astype("<f8").tobytes()
     root = Path(root)
     manifest = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")
@@ -444,8 +475,8 @@ def load_gallery(root) -> Gallery:
     """Read a gallery written by `save_gallery`, or a read-only v1 gallery.
 
     A v2 manifest holds every template; `*.sigfd` files beside it are
-    ignored.  Each template's magnitudes are a read-only row of one
-    matrix over the file's payload.
+    ignored.  The gallery's magnitude matrix is the file's payload, read
+    in place.
     """
     root = Path(root)
     manifest = root / MANIFEST_NAME
@@ -474,17 +505,14 @@ def load_gallery(root) -> Gallery:
     if len(index) != count or len(payload) != 8 * count * meta.k:
         raise FormatError(f"{manifest}: {count} templates need {count} index lines and "
                           f"{8 * count * meta.k} payload bytes")
-    rows = np.frombuffer(payload, dtype="<f8").reshape(count, meta.k)
-    templates = []
     try:
-        for line, mags in zip(index, rows):
-            identity, _, sample_id = line.decode("ascii").partition(" ")
-            templates.append(Template(_check_name(identity, "identity"),
-                                      _check_name(sample_id, "sample_id"),
-                                      FourierDescriptor(mags, meta)))
+        keys = [line.decode("ascii").partition(" ")[::2] for line in index]
+        return Gallery._from_columns(
+            meta, tuple(_check_name(identity, "identity") for identity, _ in keys),
+            tuple(_check_name(sample_id, "sample_id") for _, sample_id in keys),
+            np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
     except ValueError as exc:
-        raise FormatError(f"{manifest}: template {len(templates)}: {exc}") from exc
-    return Gallery(meta, tuple(templates))
+        raise FormatError(f"{manifest}: {exc}") from exc
 
 
 def _load_v1(root: Path, meta: DescriptorMeta) -> Gallery:

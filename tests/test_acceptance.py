@@ -15,9 +15,8 @@ from sigfd.imaging import (BACKGROUND, GrayImage, binarize,
                            estimate_orientation, median_filter, preprocess,
                            rotate)
 from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance
-from sigfd.recognition import (SynthSpec, enroll, evaluate,
-                               generate_synthetic, identify, new_gallery,
-                               report_to_csv)
+from sigfd.recognition import (Gallery, SynthSpec, enroll, evaluate,
+                               generate_synthetic, identify, report_to_csv)
 from sigfd.wavelet import WaveletFamily, dwt2_multi, idwt2
 
 TOL_RECONSTRUCTION = 1e-9   # criterion 1
@@ -94,9 +93,9 @@ def test_criterion_4_rotated_probes_match_their_identity():
         n_identities=10, samples_per_identity=1, rotation_deg=0.0,
         scale_range=(1.0, 1.0), translation_px=0.0, noise_fraction=0.0, seed=104))
     config = PipelineConfig()
-    gallery = new_gallery(config)
+    gallery = Gallery(config.meta)
     for label, images in bases.items():
-        gallery = enroll(gallery, label, "base", images[0], config)
+        gallery = enroll(gallery, label, [("base", images[0])], config)
     measure = DistanceMeasure("manhattan")
     labels = sorted(bases)
     rng = np.random.default_rng(104)

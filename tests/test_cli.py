@@ -244,6 +244,57 @@ def test_enroll_migrates_a_v1_gallery_to_v2(tmp_path, dataset_dir, gallery_dir,
     assert capsys.readouterr().out == v2_answer
 
 
+def test_enroll_rejects_a_stem_twice_in_one_batch(tmp_path, dataset_dir, gallery_dir, capsys):
+    gal = tmp_path / "gal"
+    shutil.copytree(gallery_dir, gal)
+    before = _tree_bytes(gal)
+    for sub, source in (("x", "s002.pgm"), ("y", "s003.pgm")):
+        (tmp_path / sub).mkdir()
+        shutil.copy(dataset_dir / "id000" / source, tmp_path / sub / "s1.pgm")
+    capsys.readouterr()
+    assert run(["enroll", str(gal), "a", str(tmp_path / "x" / "s1.pgm"),
+                str(tmp_path / "y" / "s1.pgm")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DuplicateSample" in captured.err
+    assert _tree_bytes(gal) == before
+
+
+_SYNTH = ["synth", "{out}", "--identities", "1", "--samples", "1"]
+
+# (id, argv with {v} for the value, exit code for nan, exit code for inf)
+_FLOAT_FLAGS = [
+    ("threshold", ["verify", "{gal}", "id001", "--threshold", "{v}", "{probe}"], 1, 0),
+    ("minkowski-p-identify", ["identify", "{gal}", "--measure", "minkowski",
+                              "--minkowski-p", "{v}", "{probe}"], 1, 0),
+    ("minkowski-p-verify", ["verify", "{gal}", "id001", "--threshold", "1", "--measure",
+                            "minkowski", "--minkowski-p", "{v}", "{probe}"], 1, 0),
+    ("minkowski-p-evaluate", ["evaluate", "{data}", "--measures", "minkowski", "--families",
+                              "haar", "--train-k", "2", "--minkowski-p", "{v}"], 1, 0),
+    ("rotation", _SYNTH + ["--rotation", "{v}"], 1, 1),
+    ("translation", _SYNTH + ["--translation", "{v}"], 1, 1),
+    ("scale-hi", _SYNTH + ["--scale", "0.9", "{v}"], 1, 1),
+    ("scale-lo", _SYNTH + ["--scale", "{v}", "1.1"], 1, 1),
+    ("noise", _SYNTH + ["--noise", "{v}"], 1, 1),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("label,argv,nan_code,inf_code", _FLOAT_FLAGS,
+                         ids=[case[0] for case in _FLOAT_FLAGS])
+def test_non_finite_float_flags_end_in_an_exit_code(tmp_path, dataset_dir, gallery_dir, capsys,
+                                                    value, label, argv, nan_code, inf_code):
+    fill = {"gal": str(gallery_dir), "probe": str(dataset_dir / "id001" / "s003.pgm"),
+            "data": str(dataset_dir), "out": str(tmp_path / "syn"), "v": value}
+    code = run([arg.format(**fill) for arg in argv])
+    assert isinstance(code, int)
+    assert code == (nan_code if value == "nan" else inf_code)
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "sigfd" in captured.err
+    assert not (tmp_path / "syn").exists()
+
+
 def test_corrupt_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir, capsys):
     probe = str(dataset_dir / "id000" / "s002.pgm")
     good = (gallery_dir / "MANIFEST.siggal").read_bytes()

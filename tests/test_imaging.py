@@ -122,10 +122,11 @@ def test_median_network_matches_np_median_on_edge_shapes():
     images += [np.full((4, 5), value, dtype=np.uint8) for value in (0, 131, 255)]
     images += [rng.integers(0, 256, size=(16, 16), dtype=np.uint8) for _ in range(20)]
     for px in images:
-        for window in (3, 5):
+        for window in (1, 3, 5):
             out = median_filter(GrayImage(px), window)
             assert out.pixels.dtype == np.uint8
             assert np.array_equal(out.pixels, _median_np_oracle(px, window)), (px.shape, window)
+        assert np.array_equal(median_filter(GrayImage(px), 1).pixels, px)
 
 
 def test_median_network_selects_the_median_of_every_binary_window():
@@ -368,10 +369,15 @@ def test_warp_matches_a_per_pixel_reference():
     for shape, rotation, scale, dx, dy in (((7, 9), 0.3, 1.0, 0.0, 0.0),
                                            ((9, 7), -1.1, 0.8, 2.5, -1.25),
                                            ((6, 6), 2.0, 1.7, -6.5, 4.0),
-                                           ((1, 5), 0.7, 0.5, 0.5, 0.5)):
+                                           ((1, 5), 0.7, 0.5, 0.5, 0.5),
+                                           ((37, 53), 0.0, 1.0, 0.0, 0.0)):
         px = rng.integers(0, 256, size=shape, dtype=np.uint8)
         out = warp_similarity(GrayImage(px), rotation, scale, (dx, dy)).pixels
         assert np.array_equal(out, _warp_reference(px, rotation, scale, dx, dy)), shape
+    # the identity map samples every pixel at its own centre, bit for bit
+    for shape in ((256, 256), (37, 53), (1, 1), (2, 9)):
+        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        assert np.array_equal(warp_similarity(GrayImage(px)).pixels, px), shape
 
 
 def test_warp_rejects_nonpositive_scale():

@@ -1,4 +1,8 @@
+import collections
+import copy
+import math
 import os
+import pickle
 from pathlib import Path
 from unittest import mock
 
@@ -17,9 +21,8 @@ from sigfd.imaging import GrayImage, PreprocessConfig
 from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance
 from sigfd.recognition import (EvalReport, Gallery, SynthSpec, Template,
                                enroll, evaluate, generate_synthetic, identify,
-                               load_dataset, load_gallery, new_gallery,
-                               report_to_csv, save_dataset, save_gallery,
-                               verify)
+                               load_dataset, load_gallery, report_to_csv,
+                               save_dataset, save_gallery, verify)
 from sigfd.wavelet import WaveletFamily
 
 MANHATTAN = DistanceMeasure("manhattan")
@@ -33,44 +36,66 @@ def tiny_dataset():
 
 @pytest.fixture(scope="module")
 def tiny_gallery(tiny_dataset):
-    gallery = new_gallery(CFG)
+    gallery = Gallery(CFG.meta)
     for label, images in tiny_dataset.items():
-        for i, img in enumerate(images[:2]):
-            gallery = enroll(gallery, label, f"s{i}", img, CFG)
+        gallery = enroll(gallery, label, [(f"s{i}", img) for i, img in enumerate(images[:2])],
+                         CFG)
     return gallery
 
 
 # --- gallery and matching ------------------------------------------------------
 
 def test_enroll_is_copy_on_write(tiny_dataset):
-    g0 = new_gallery(CFG)
-    g1 = enroll(g0, "a", "s0", tiny_dataset["id000"][0], CFG)
+    g0 = Gallery(CFG.meta)
+    g1 = enroll(g0, "a", [("s0", tiny_dataset["id000"][0])], CFG)
     assert len(g0.templates) == 0
     assert len(g1.templates) == 1
     assert g1.templates[0].identity == "a"
+    assert g0.magnitudes.shape == (0, CFG.k)
+
+
+def test_enroll_takes_a_batch_in_order(tiny_dataset, tiny_gallery):
+    images = tiny_dataset["id001"]
+    g = enroll(tiny_gallery, "new", [("b", images[2]), ("a", images[3])], CFG)
+    assert g.identities == tiny_gallery.identities + ("new", "new")
+    assert g.sample_ids == tiny_gallery.sample_ids + ("b", "a")
+    assert g.names == ("id000", "id001", "id002", "new")
+    assert g.columns.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    want = np.vstack([tiny_gallery.magnitudes] +
+                     [extract_features(img, CFG).magnitudes for img in images[2:4]])
+    assert g.magnitudes.tobytes() == want.tobytes()
+    assert enroll(g, "new", [], CFG).magnitudes.tobytes() == want.tobytes()
 
 
 def test_enroll_rejects_duplicates(tiny_dataset):
     img = tiny_dataset["id000"][0]
-    g = enroll(new_gallery(CFG), "a", "s0", img, CFG)
+    g = enroll(Gallery(CFG.meta), "a", [("s0", img)], CFG)
     with pytest.raises(DuplicateSample):
-        enroll(g, "a", "s0", img, CFG)
+        enroll(g, "a", [("s0", img)], CFG)
+    # twice within one batch
+    with pytest.raises(DuplicateSample):
+        enroll(Gallery(CFG.meta), "a", [("s0", img), ("s0", img)], CFG)
     # same sample id under another identity is fine
-    g2 = enroll(g, "b", "s0", img, CFG)
-    assert g2.identities() == ["a", "b"]
+    g2 = enroll(g, "b", [("s0", img)], CFG)
+    assert g2.names == ("a", "b")
 
 
 def test_enroll_rejects_meta_mismatch(tiny_dataset):
     other = PipelineConfig(levels=2)
     with pytest.raises(MetaMismatch):
-        enroll(new_gallery(CFG), "a", "s0", tiny_dataset["id000"][0], other)
+        enroll(Gallery(CFG.meta), "a", [("s0", tiny_dataset["id000"][0])], other)
 
 
 def test_enroll_rejects_unsafe_names(tiny_dataset):
     img = tiny_dataset["id000"][0]
     for bad in ("", "a/b", ".hidden", "x y"):
-        with pytest.raises(ValueError):
-            enroll(new_gallery(CFG), bad, "s0", img, CFG)
+        with pytest.raises(ValueError, match="identity"):
+            enroll(Gallery(CFG.meta), bad, [("s0", img)], CFG)
+        with pytest.raises(ValueError, match="sample_id"):
+            enroll(Gallery(CFG.meta), "a", [("s0", img), (bad, img)], CFG)
+
+
+_OUT_OF_RANGE = (np.nan, -1.0, np.inf)
 
 
 def test_gallery_constructor_enforces_invariants(tiny_gallery):
@@ -79,6 +104,62 @@ def test_gallery_constructor_enforces_invariants(tiny_gallery):
         Gallery(tiny_gallery.meta, (t, t))
     with pytest.raises(MetaMismatch):
         Gallery(DescriptorMeta(WaveletFamily.HAAR, 1, 64), (t,))
+    # a row of another length comes with another k, which is a meta mismatch
+    short = FourierDescriptor(np.ones(CFG.k - 1),
+                              DescriptorMeta(CFG.family, CFG.levels, CFG.k - 1))
+    with pytest.raises(MetaMismatch):
+        Gallery(CFG.meta, (t, Template("id000", "short", short)))
+    # the gallery checks the matrix it holds, not only each descriptor when it was made
+    for value in _OUT_OF_RANGE:
+        mags = t.descriptor.magnitudes.copy()
+        fd = FourierDescriptor(mags, CFG.meta)
+        mags[3] = value
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Gallery(CFG.meta, (t, Template("id000", "late", fd)))
+
+
+def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
+    g = tiny_gallery
+    columns = (g.meta, g.identities, g.sample_ids, g.magnitudes)
+    assert Gallery._from_columns(*columns).names == g.names
+    with pytest.raises(DuplicateSample):
+        Gallery._from_columns(g.meta, g.identities[:2] + ("id000",),
+                              g.sample_ids[:2] + ("s0",), g.magnitudes[:3])
+    for value in _OUT_OF_RANGE:
+        mags = g.magnitudes.copy()
+        mags[-1, 0] = value
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Gallery._from_columns(g.meta, g.identities, g.sample_ids, mags)
+    wide = np.hstack([g.magnitudes, g.magnitudes[:, :1]])
+    for bad in ((g.meta, g.identities, g.sample_ids, wide),
+                (g.meta, g.identities, g.sample_ids[:-1], g.magnitudes),
+                (g.meta, g.identities, g.sample_ids, g.magnitudes[:-1])):
+        with pytest.raises(ValueError, match="need"):
+            Gallery._from_columns(*bad)
+    # enroll is the column constructor's public caller; its meta must match
+    with pytest.raises(MetaMismatch):
+        enroll(g, "new", [("s0", tiny_dataset["id000"][0])],
+               PipelineConfig(family=WaveletFamily.HAAR))
+
+
+def test_gallery_is_immutable(tiny_gallery):
+    for field in ("meta", "identities", "sample_ids", "magnitudes", "names", "columns",
+                  "templates", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(tiny_gallery, field, None)
+    assert tiny_gallery.magnitudes.flags.c_contiguous
+    assert tiny_gallery.magnitudes.dtype == np.float64
+    with pytest.raises(ValueError):
+        tiny_gallery.magnitudes[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        tiny_gallery.columns[0] = 1
+    # copies and pickles keep the columns and their read-only matrix
+    for copied in (copy.copy(tiny_gallery), copy.deepcopy(tiny_gallery),
+                   pickle.loads(pickle.dumps(tiny_gallery))):
+        _assert_same_gallery(copied, tiny_gallery)
+        assert copied.names == tiny_gallery.names
+        assert copied.columns.tolist() == tiny_gallery.columns.tolist()
+        assert not copied.magnitudes.flags.writeable
 
 
 def test_identify_finds_owner(tiny_dataset, tiny_gallery):
@@ -93,9 +174,9 @@ def test_identify_finds_owner(tiny_dataset, tiny_gallery):
 
 def test_identify_tie_breaks_lexicographically(tiny_dataset):
     img = tiny_dataset["id000"][0]
-    gallery = new_gallery(CFG)
+    gallery = Gallery(CFG.meta)
     for ident in ("zeta", "beta"):
-        gallery = enroll(gallery, ident, "s0", img, CFG)
+        gallery = enroll(gallery, ident, [("s0", img)], CFG)
     result = identify(gallery, img, MANHATTAN, CFG)
     assert result.identity == "beta"
     assert result.ranking[0][1] == result.ranking[1][1]
@@ -104,12 +185,12 @@ def test_identify_tie_breaks_lexicographically(tiny_dataset):
 def test_identify_is_enrollment_order_invariant(tiny_dataset):
     samples = [(label, i, img) for label, imgs in tiny_dataset.items()
                for i, img in enumerate(imgs[:2])]
-    forward = new_gallery(CFG)
+    forward = Gallery(CFG.meta)
     for label, i, img in samples:
-        forward = enroll(forward, label, f"s{i}", img, CFG)
-    backward = new_gallery(CFG)
+        forward = enroll(forward, label, [(f"s{i}", img)], CFG)
+    backward = Gallery(CFG.meta)
     for label, i, img in reversed(samples):
-        backward = enroll(backward, label, f"s{i}", img, CFG)
+        backward = enroll(backward, label, [(f"s{i}", img)], CFG)
     probe = tiny_dataset["id001"][3]
     assert identify(forward, probe, MANHATTAN, CFG).ranking == \
         identify(backward, probe, MANHATTAN, CFG).ranking
@@ -117,7 +198,7 @@ def test_identify_is_enrollment_order_invariant(tiny_dataset):
 
 def test_identify_empty_gallery(tiny_dataset):
     with pytest.raises(EmptyGallery):
-        identify(new_gallery(CFG), tiny_dataset["id000"][0], MANHATTAN, CFG)
+        identify(Gallery(CFG.meta), tiny_dataset["id000"][0], MANHATTAN, CFG)
 
 
 def test_identify_meta_mismatch(tiny_dataset, tiny_gallery):
@@ -133,6 +214,14 @@ def test_verify_accepts_and_rejects(tiny_dataset, tiny_gallery):
     other = verify(tiny_gallery, "id000", probe, MANHATTAN, 0.25, CFG)
     assert not other.genuine
     assert other.distance > own.distance
+
+
+def test_verify_threshold_must_be_a_number(tiny_dataset, tiny_gallery):
+    probe = tiny_dataset["id002"][2]
+    with pytest.raises(ValueError, match="threshold"):
+        verify(tiny_gallery, "id002", probe, MANHATTAN, math.nan, CFG)
+    assert verify(tiny_gallery, "id000", probe, MANHATTAN, math.inf, CFG).genuine
+    assert not verify(tiny_gallery, "id000", probe, MANHATTAN, -math.inf, CFG).genuine
 
 
 def test_verify_unknown_identity(tiny_dataset, tiny_gallery):
@@ -250,6 +339,14 @@ def test_synth_spec_validation():
         SynthSpec(noise_fraction=0.5)
     with pytest.raises(ValueError):
         SynthSpec(rotation_deg=-1.0)
+    # non-finite ranges used to overflow inside numpy's uniform draw
+    for bad in ({"rotation_deg": math.nan}, {"rotation_deg": math.inf},
+                {"translation_px": math.nan}, {"translation_px": math.inf},
+                {"scale_range": (0.9, math.inf)}, {"scale_range": (math.nan, 1.1)},
+                {"scale_range": (0.9, math.nan)}, {"scale_range": (math.inf, math.inf)},
+                {"noise_fraction": math.nan}):
+        with pytest.raises(ValueError):
+            SynthSpec(**bad)
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -333,8 +430,62 @@ def test_gallery_round_trip(tmp_path, tiny_gallery):
     back = load_gallery(root)
     _assert_same_gallery(back, tiny_gallery)
     assert not back.templates[0].descriptor.magnitudes.flags.writeable
-    save_gallery(new_gallery(CFG), tmp_path / "empty")
-    _assert_same_gallery(load_gallery(tmp_path / "empty"), new_gallery(CFG))
+    save_gallery(Gallery(CFG.meta), tmp_path / "empty")
+    _assert_same_gallery(load_gallery(tmp_path / "empty"), Gallery(CFG.meta))
+
+
+_KEYS = st.lists(st.tuples(st.sampled_from(["ann", "bo", "cy.2"]),
+                           st.sampled_from(["s0", "s1", "s_2"])), unique=True, max_size=9)
+_MAGNITUDE = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=40)
+@given(keys=_KEYS, data=st.data())
+def test_record_and_saved_galleries_hold_the_same_columns(tmp_path_factory, keys, data):
+    rows = [data.draw(st.lists(_MAGNITUDE, min_size=4, max_size=4)) for _ in keys]
+    records = tuple(Template(i, s, FourierDescriptor(np.array(row), _FUZZ_META))
+                    for (i, s), row in zip(keys, rows))
+    built = Gallery(_FUZZ_META, records)
+    root = tmp_path_factory.mktemp("prop")
+    save_gallery(built, root)
+    want = np.array(rows, dtype=np.float64).reshape(len(keys), 4)
+    for g in (built, load_gallery(root)):
+        assert g.identities == tuple(i for i, _ in keys)
+        assert g.sample_ids == tuple(s for _, s in keys)
+        assert g.magnitudes.tobytes() == want.tobytes()
+        assert g.magnitudes.flags.c_contiguous and not g.magnitudes.flags.writeable
+        assert g.names == tuple(sorted({i for i, _ in keys}))
+        assert [g.names[c] for c in g.columns] == list(g.identities)
+        # the records view rebuilds the same gallery
+        _assert_same_gallery(Gallery(_FUZZ_META, g.templates), built)
+        assert [(t.identity, t.sample_id) for t in g.templates] == keys
+
+
+def test_v2_load_and_identify_build_no_per_template_objects(tmp_path, tiny_dataset,
+                                                            tiny_gallery):
+    save_gallery(tiny_gallery, tmp_path / "gal")
+    probe = tiny_dataset["id001"][3]
+    built = collections.Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return mock.patch.object(cls, "__init__", counting_init)
+
+    with counted(FourierDescriptor), counted(Template):
+        extract_features(probe, CFG)
+        per_probe = dict(built)
+        built.clear()
+        result = identify(load_gallery(tmp_path / "gal"), probe, MANHATTAN, CFG)
+        assert dict(built) == per_probe  # the probe's own descriptor, nothing per template
+        built.clear()
+        assert len(tiny_gallery.templates) == 6  # the counters do see the records view
+        assert built == {"FourierDescriptor": 6, "Template": 6}
+    assert per_probe == {"FourierDescriptor": 1}
+    assert result.identity == "id001"
 
 
 def test_v1_gallery_loads_bit_identically(tmp_path, tiny_gallery, write_v1_gallery):
@@ -430,7 +581,7 @@ def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_ga
     root = tmp_path / "gal"
     save_gallery(tiny_gallery, root)
     before = (root / "MANIFEST.siggal").read_bytes()
-    bigger = enroll(tiny_gallery, "id000", "s2", tiny_dataset["id000"][2], CFG)
+    bigger = enroll(tiny_gallery, "id000", [("s2", tiny_dataset["id000"][2])], CFG)
     write_bytes = Path.write_bytes
 
     def write_half(self, data):
