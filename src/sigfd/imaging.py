@@ -24,12 +24,21 @@ _WHITESPACE = (9, 10, 11, 12, 13, 32)
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GrayImage:
-    """8-bit grayscale raster; `pixels` is a (height, width) uint8 array."""
+    """8-bit grayscale raster; `pixels` is a (height, width) uint8 array.
+
+    A uint8 array is taken as it is.  Other integer or bool input is
+    converted when every value lies in [0, 255]; anything else raises
+    ValueError rather than wrapping or truncating.
+    """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8:
+            if px.dtype.kind not in "biu" or (px.size and not 0 <= px.min() <= px.max() <= 255):
+                raise ValueError(f"pixels must be integers in [0, 255], got a {px.dtype} array")
+            px = px.astype(np.uint8)
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("pixels must be 2-D with positive dimensions")
         object.__setattr__(self, "pixels", px)
@@ -268,6 +277,14 @@ def _sample_bilinear(px: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: int) 
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
+def _reach(lo: float, hi: float, n: int) -> tuple[int, int]:
+    """Half-open range of the indices 0..n-1 within one pixel of [lo, hi].
+
+    The bounds are clipped to [0, n] before `floor`, which rejects infinity.
+    """
+    return math.floor(min(max(lo - 1.0, 0.0), n)), math.floor(min(max(hi + 2.0, 0.0), n))
+
+
 def warp_similarity(img: GrayImage, rotation: float = 0.0, scale: float = 1.0,
                     translation: tuple[float, float] = (0.0, 0.0)) -> GrayImage:
     """Rotate/scale about the image center, then translate by (dx, dy) pixels.
@@ -275,17 +292,49 @@ def warp_similarity(img: GrayImage, rotation: float = 0.0, scale: float = 1.0,
     Output keeps the input geometry; uncovered pixels read BACKGROUND.
     Resampling is bilinear over the inverse map.  rotation is radians,
     positive toward increasing row for increasing column.
+
+    Only the output window that non-BACKGROUND source pixels can reach is
+    sampled, and the rest of the frame is BACKGROUND.  That is exact: the
+    taps floor(x) and floor(x)+1 touch columns [a, b] only when x lies in
+    [a-1, b+1), and an output pixel whose four taps all read BACKGROUND
+    comes out as exactly BACKGROUND (the weights sum to 1 within rounding,
+    which rint absorbs).  The window is the forward image of that dilated
+    box plus one pixel against rounding in the two maps, and inside it every
+    sample is computed as a full-frame pass would compute it.  When the
+    paper is not exactly BACKGROUND, the box is the whole image and so,
+    usually, is the window.
     """
+    dx, dy = float(translation[0]), float(translation[1])
+    for name, value in (("rotation", rotation), ("scale", scale),
+                        ("translation[0]", dx), ("translation[1]", dy)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    dx, dy = float(translation[0]), float(translation[1])
-    h, w = img.pixels.shape
+    px = img.pixels
+    h, w = px.shape
+    out = np.full((h, w), BACKGROUND, dtype=np.uint8)
+    ink = px != BACKGROUND
+    rows = np.flatnonzero(ink.any(axis=1))
+    if rows.size == 0:
+        return GrayImage(out)
+    cols = np.flatnonzero(ink.any(axis=0))
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h) - cy - dy, np.arange(w) - cx - dx, indexing="ij")
     ca, sa = math.cos(rotation), math.sin(rotation)
+    # forward images of the dilated box's corners, as Python floats, which
+    # overflow to inf without a warning
+    corners = [(x - cx, y - cy) for x in (int(cols[0]) - 1, int(cols[-1]) + 1)
+               for y in (int(rows[0]) - 1, int(rows[-1]) + 1)]
+    fx = [scale * (ca * u - sa * v) + cx + dx for u, v in corners]
+    fy = [scale * (sa * u + ca * v) + cy + dy for u, v in corners]
+    r0, r1 = _reach(min(fy), max(fy), h)
+    c0, c1 = _reach(min(fx), max(fx), w)
+    yy, xx = np.meshgrid(np.arange(h)[r0:r1] - cy - dy, np.arange(w)[c0:c1] - cx - dx,
+                         indexing="ij")
     xs = (ca * xx + sa * yy) / scale + cx
     ys = (-sa * xx + ca * yy) / scale + cy
-    return GrayImage(_sample_bilinear(img.pixels, xs, ys, BACKGROUND))
+    out[r0:r1, c0:c1] = _sample_bilinear(px, xs, ys, BACKGROUND)
+    return GrayImage(out)
 
 
 def rotate(img: GrayImage, angle: float) -> GrayImage:

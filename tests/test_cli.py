@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +332,24 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert run(["evaluate", "--help"]) == 0
     assert "--train-k" in capsys.readouterr().out
+
+
+def test_python_m_sigfd_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "sigfd", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    helped = module_run("--help")
+    assert helped.returncode == 0
+    assert run(["--help"]) == 0
+    assert helped.stdout == capsys.readouterr().out
+    usage = module_run("frobnicate")
+    assert usage.returncode == 1
+    assert usage.stdout == "" and "invalid choice: 'frobnicate'" in usage.stderr
 
 
 def test_blank_probe_is_a_data_error(tmp_path, gallery_dir):

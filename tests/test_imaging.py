@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigfd.errors import (BadTarget, BadWindow, FormatError, IoError,
                           TooFewPixels)
 from sigfd.imaging import (BACKGROUND, ForegroundMask, GrayImage,
-                           PreprocessConfig, binarize, estimate_orientation,
-                           load_image, median_filter, otsu_threshold,
-                           preprocess, rotate, save_image, scale_normalize,
-                           warp_similarity)
+                           PreprocessConfig, _sample_bilinear, binarize,
+                           estimate_orientation, load_image, median_filter,
+                           otsu_threshold, preprocess, rotate, save_image,
+                           scale_normalize, warp_similarity)
 
 
 def test_gray_image_validates_shape():
@@ -19,6 +22,21 @@ def test_gray_image_validates_shape():
         GrayImage(np.zeros((0, 3), dtype=np.uint8))
     img = GrayImage(np.zeros((2, 3), dtype=np.uint8))
     assert (img.height, img.width) == (2, 3)
+
+
+def test_gray_image_rejects_values_uint8_cannot_hold():
+    for bad in ([[0, 300]], [[-1, 255]], [[0, 1.7]], [[0, float("nan")]], np.zeros((2, 2))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\[0, 255\]"):
+                GrayImage(np.asarray(bad))
+    # uint8 is taken as it is; other integers and bools in range convert
+    px = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    assert GrayImage(px).pixels is px
+    for ok in ([[0, 255]], np.array([[0, 255]], dtype=np.int64), np.array([[0, 255]], dtype=np.uint16)):
+        out = GrayImage(ok).pixels
+        assert out.dtype == np.uint8 and out.tolist() == [[0, 255]]
+    assert GrayImage(np.eye(2, dtype=bool)).pixels.tolist() == [[1, 0], [0, 1]]
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -384,6 +402,86 @@ def test_warp_rejects_nonpositive_scale():
     img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         warp_similarity(img, scale=0.0)
+    nan, inf = float("nan"), float("inf")
+    for kwargs, name in ((dict(rotation=nan), "rotation"), (dict(rotation=inf), "rotation"),
+                         (dict(rotation=-inf), "rotation"), (dict(scale=nan), "scale"),
+                         (dict(scale=inf), "scale"), (dict(translation=(nan, 0.0)), "translation"),
+                         (dict(translation=(0.0, inf)), "translation"),
+                         (dict(translation=(-inf, 0.0)), "translation")):
+        with pytest.raises(ValueError, match=name):
+            warp_similarity(img, **kwargs)
+
+
+def _full_frame(px, rotation, scale, dx, dy):
+    """The bilinear sampler over every output pixel of the frame."""
+    h, w = px.shape
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h) - cy - dy, np.arange(w) - cx - dx, indexing="ij")
+    ca, sa = math.cos(rotation), math.sin(rotation)
+    xs = (ca * xx + sa * yy) / scale + cx
+    ys = (-sa * xx + ca * yy) / scale + cy
+    return _sample_bilinear(px, xs, ys, BACKGROUND)
+
+
+def test_warp_far_translation_is_paper_and_huge_scale_samples_the_centre():
+    px = np.full((20, 30), BACKGROUND, dtype=np.uint8)
+    px[8:12, 10:20] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift in ((1e300, 0.0), (-1e300, 0.0), (0.0, 1e300), (0.0, -1e300)):
+            assert (warp_similarity(GrayImage(px), translation=shift).pixels == BACKGROUND).all()
+        # every output pixel samples the centre: ink here, paper once the
+        # ink is moved off it; at 1e308 the ink's corners map to infinity
+        for scale in (1e300, 1e308):
+            for moved in (px, np.roll(px, 8, axis=1)):
+                out = warp_similarity(GrayImage(moved), scale=scale).pixels
+                assert np.array_equal(out, _full_frame(moved, 0.0, scale, 0.0, 0.0))
+            assert (warp_similarity(GrayImage(px), scale=scale).pixels == 0).all()
+
+
+@st.composite
+def _inked_canvases(draw):
+    """Paper canvases with a few ink blobs and isolated pixels, any of which
+    may touch a border."""
+    h, w = draw(st.one_of(st.tuples(st.integers(1, 64), st.integers(1, 64)), st.just((256, 256))))
+    paper = draw(st.sampled_from([BACKGROUND, BACKGROUND, BACKGROUND, 254]))
+    px = np.full((h, w), paper, dtype=np.uint8)
+    rows = st.one_of(st.just(0), st.just(h - 1), st.integers(0, h - 1))
+    cols = st.one_of(st.just(0), st.just(w - 1), st.integers(0, w - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(rows), draw(cols)
+        px[max(r - draw(st.integers(0, 6)), 0):r + 1, c:c + draw(st.integers(1, 9))] = (
+            draw(st.integers(0, 254)))
+    for _ in range(draw(st.integers(0, 3))):
+        px[draw(rows), draw(cols)] = draw(st.integers(0, 254))
+    return px
+
+
+_CENTRE_DOT = np.full((5, 5), BACKGROUND, dtype=np.uint8)
+_CENTRE_DOT[2, 2] = 0
+# ink on the top and left borders and an isolated pixel in the far corner
+_BORDER_INK = np.full((256, 256), BACKGROUND, dtype=np.uint8)
+_BORDER_INK[0, 100:140] = 0
+_BORDER_INK[120:130, 0] = 40
+_BORDER_INK[255, 255] = 200
+
+
+@settings(deadline=None, max_examples=300)
+@given(px=_inked_canvases(), rotation=st.floats(-math.pi, math.pi), scale=st.floats(0.25, 4.0),
+       shift=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+@example(px=np.full((9, 7), BACKGROUND, dtype=np.uint8), rotation=0.5, scale=1.0, shift=(0.0, 0.0))
+# magnified 4x, the dot's taps reach one source pixel beyond it on each side
+@example(px=_CENTRE_DOT, rotation=0.0, scale=4.0, shift=(0.0, 0.0))
+@example(px=_BORDER_INK, rotation=-2.5, scale=0.3, shift=(0.4, -0.2))
+@example(px=_BORDER_INK, rotation=0.1, scale=3.7, shift=(-1.0, 1.0))
+def test_ink_bounded_warp_equals_the_full_frame_sampler(px, rotation, scale, shift):
+    # shifts are fractions of the frame, so the ink moves partly or wholly out
+    h, w = px.shape
+    dx, dy = shift[0] * w, shift[1] * h
+    out = warp_similarity(GrayImage(px), rotation, scale, (dx, dy)).pixels
+    assert np.array_equal(out, _full_frame(px, rotation, scale, dx, dy))
+    if h <= 12 and w <= 12:
+        assert np.array_equal(out, _warp_reference(px, rotation, scale, dx, dy))
 
 
 # --- preprocess chain ----------------------------------------------------------------
