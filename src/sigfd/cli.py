@@ -11,7 +11,8 @@ from pathlib import Path
 
 from .descriptor import DescriptorMeta, PipelineConfig
 from .errors import SigfdError
-from .imaging import PreprocessConfig, load_image, preprocess, save_image
+from .imaging import (PreprocessConfig, _check_threshold, _check_window,
+                      load_image, preprocess, save_image)
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
 from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, enroll, evaluate,
                           generate_synthetic, identify, load_dataset,
@@ -28,11 +29,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _odd_int(text: str) -> int:
-    value = int(text)
-    if value < 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"{value} is not an odd integer >= 1")
+def _vetted(value: int, check) -> int:
+    """`value` when the library's own `check` accepts it, else a usage error."""
+    try:
+        check(value)
+    except (SigfdError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def _odd_int(text: str) -> int:
+    return _vetted(int(text), _check_window)
 
 
 def _pow2_int(text: str) -> int:
@@ -50,10 +57,7 @@ def _positive_int(text: str) -> int:
 
 
 def _byte_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 255:
-        raise argparse.ArgumentTypeError(f"{value} is not in [0, 255]")
-    return value
+    return _vetted(int(text), _check_threshold)
 
 
 def _measure_name(text: str) -> str:

@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadLength, BadLevels, DegenerateDescriptor, FormatError,
-                     IoError)
+from .errors import BadLength, DegenerateDescriptor, FormatError, IoError
 from .imaging import GrayImage, PreprocessConfig, preprocess
 # `dwt2_multi` is not called here, but bench/spans.py traces calls by
 # patching this module's globals, so every name it looks up on this module
 # has to stay importable.
-from .wavelet import WaveletFamily, approximation, dwt2_multi
+from .wavelet import WaveletFamily, _check_levels, approximation, dwt2_multi
 
 NORMALIZER_EPS = 1e-12
 
@@ -33,6 +32,21 @@ class DescriptorMeta:
     levels: int | None
     k: int
 
+    def __post_init__(self):
+        if not ((self.levels is None or self.levels >= 1) and self.k >= 1):
+            raise ValueError(f"need levels and k >= 1, got levels={self.levels} k={self.k}")
+
+
+def _check_magnitudes(mags: np.ndarray) -> None:
+    # min() and max() propagate nan, which fails both comparisons
+    if mags.size and not (mags.min() >= 0 and mags.max() < np.inf):
+        raise ValueError("magnitudes must be finite and nonnegative")
+
+
+def _check_k(k, n: int) -> None:
+    if not isinstance(k, int) or not 2 <= k <= n - 2:
+        raise BadLength(f"need an integer 2 <= k <= N-2, got k={k!r} with N={n}")
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FourierDescriptor:
@@ -43,12 +57,9 @@ class FourierDescriptor:
 
     def __post_init__(self):
         mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if mags.ndim != 1 or mags.size != self.meta.k or self.meta.k < 1:
-            raise ValueError(f"need {self.meta.k} magnitudes (k >= 1) in a 1-D array, "
-                             f"got shape {mags.shape}")
-        # min() and max() propagate nan, which fails both comparisons
-        if not (mags.min() >= 0 and mags.max() < np.inf):
-            raise ValueError("magnitudes must be finite and nonnegative")
+        if mags.ndim != 1 or mags.size != self.meta.k:
+            raise ValueError(f"need {self.meta.k} magnitudes in a 1-D array, got {mags.shape}")
+        _check_magnitudes(mags)
         object.__setattr__(self, "magnitudes", mags)
 
 
@@ -68,12 +79,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         w, h = self.preprocess.target_size
-        levels = self.levels
-        if not isinstance(levels, int) or levels < 1 or w % (1 << levels) or h % (1 << levels):
-            raise BadLevels(f"{w}x{h} target does not support {levels!r} halvings")
-        n = (w >> levels) * (h >> levels)
-        if not isinstance(self.k, int) or not 2 <= self.k <= n - 2:
-            raise BadLength(f"need an integer 2 <= k <= N-2, got k={self.k!r} with N={n}")
+        _check_levels(self.levels, w, h)
+        _check_k(self.k, (w >> self.levels) * (h >> self.levels))
 
     @property
     def meta(self) -> DescriptorMeta:
@@ -103,9 +110,9 @@ def normalize_descriptor(spectrum: np.ndarray, k: int,
     NORMALIZER_EPS means there is no carrier to normalize against.
     """
     a = np.asarray(spectrum, dtype=np.complex128)
-    n = a.size
-    if a.ndim != 1 or not isinstance(k, int) or not 2 <= k <= n - 2:
-        raise BadLength(f"need an integer 2 <= k <= N-2, got k={k!r} with N={n}")
+    if a.ndim != 1:
+        raise BadLength(f"need a 1-D spectrum, got shape {a.shape}")
+    _check_k(k, a.size)
     if abs(a[1]) <= NORMALIZER_EPS:
         raise DegenerateDescriptor(
             f"|a[1]| = {abs(a[1]):.3e} is below {NORMALIZER_EPS:.0e}; "
@@ -161,11 +168,7 @@ def load_descriptor(path) -> FourierDescriptor:
     if len(fields) != 5 or fields[0] != _MAGIC or fields[1] != _VERSION:
         raise FormatError(f"{path}: bad descriptor header {lines[0]!r}")
     try:
-        family = WaveletFamily.parse(fields[2])
-        levels = int(fields[3])
-        if levels < 1:
-            raise ValueError(f"bad header value levels={levels}")
-        meta = DescriptorMeta(family, levels, int(fields[4]))
+        meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
         return FourierDescriptor(np.array([float(s) for s in lines[1:]]), meta)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

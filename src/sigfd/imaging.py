@@ -79,6 +79,16 @@ def _power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_window(window) -> None:
+    if not isinstance(window, int) or window < 1 or window % 2 == 0:
+        raise BadWindow(f"median window must be an odd integer >= 1, got {window!r}")
+
+
+def _check_threshold(threshold) -> None:
+    if threshold is not None and not (isinstance(threshold, int) and 0 <= threshold <= 255):
+        raise ValueError(f"binarize threshold must be an int in [0, 255], got {threshold!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class PreprocessConfig:
     """Knobs for the preprocessing chain.
@@ -94,15 +104,11 @@ class PreprocessConfig:
     binarize_threshold: int | None = None
 
     def __post_init__(self):
-        w = self.median_window
-        if not isinstance(w, int) or w < 1 or w % 2 == 0:
-            raise BadWindow(f"median window must be an odd integer >= 1, got {w!r}")
+        _check_window(self.median_window)
         tw, th = self.target_size
         if not (_power_of_two(tw) and _power_of_two(th)):
             raise BadTarget(f"target size must be powers of two, got {self.target_size!r}")
-        t = self.binarize_threshold
-        if t is not None and not (isinstance(t, int) and 0 <= t <= 255):
-            raise ValueError(f"threshold must be None or an int in [0, 255], got {t!r}")
+        _check_threshold(self.binarize_threshold)
 
 
 # --- PGM I/O ----------------------------------------------------------------
@@ -127,8 +133,10 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _header_int(token: bytes, what: str) -> int:
-    if not token.isdigit():
-        raise FormatError(f"bad PGM {what}: {token!r}")
+    # 19 digits already ask for a raster of 10**18 bytes, and int() refuses
+    # more than 4300
+    if not token.isdigit() or len(token) > 18:
+        raise FormatError(f"bad PGM {what}: {token[:20]!r}")
     return int(token)
 
 
@@ -183,8 +191,7 @@ def median_filter(img: GrayImage, window: int = 3) -> GrayImage:
     The default 3x3 window runs an exchange network over the nine shifted
     views; other windows take `np.median` over a sliding-window view.
     """
-    if not isinstance(window, int) or window < 1 or window % 2 == 0:
-        raise BadWindow(f"median window must be an odd integer >= 1, got {window!r}")
+    _check_window(window)
     pad = window // 2
     padded = np.pad(img.pixels, pad, mode="edge")
     if window == 3:
@@ -226,13 +233,12 @@ def binarize(img: GrayImage, threshold: int | None = None) -> ForegroundMask:
     it yields an all-background mask flagged degenerate instead of an
     arbitrary split.
     """
+    _check_threshold(threshold)
     px = img.pixels
     if px.min() == px.max():
         return ForegroundMask(np.zeros(px.shape, dtype=bool), degenerate=True)
     if threshold is None:
         threshold = otsu_threshold(px)
-    elif not (isinstance(threshold, int) and 0 <= threshold <= 255):
-        raise ValueError(f"threshold must be in [0, 255], got {threshold!r}")
     return ForegroundMask(px < threshold)
 
 
@@ -261,10 +267,14 @@ def _sample_bilinear(px: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: int) 
 
     The image is padded by one `fill` pixel on every side, and each tap's
     index is clipped to [-1, n] and shifted by one, so every tap is one
-    plain gather from the padded image.
+    plain gather from the padded image.  Coordinates are first clipped to
+    [-2, n+1], which keeps every tap that reads the image and keeps the
+    integer cast in range however far a tiny scale maps them.
     """
     h, w = px.shape
     padded = np.pad(px.astype(np.float64), 1, constant_values=float(fill))
+    xs = np.clip(xs, -2.0, w + 1.0)
+    ys = np.clip(ys, -2.0, h + 1.0)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     fx = xs - x0

@@ -39,19 +39,9 @@ class DistanceMeasure:
             raise ValueError(f"minkowski order must be positive, got {self.p!r}")
 
 
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape or x.size == 0:
-        raise LengthMismatch(
-            f"operands must be equal-length nonempty vectors, got {x.shape} and {y.shape}")
-    return x, y
-
-
 def distance(measure: DistanceMeasure, x, y) -> float:
-    """Distance between two equal-length vectors: the 1x1 `pairwise_distances`."""
-    x, y = _check_pair(x, y)
-    return float(pairwise_distances(measure, x[None], y[None])[0, 0])
+    """The 1x1 `pairwise_distances`, whose shape check admits only equal-length vectors."""
+    return float(pairwise_distances(measure, np.asarray(x)[None], np.asarray(y)[None])[0, 0])
 
 
 def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:

@@ -20,8 +20,9 @@ import numpy as np
 # module globals, so every name it looks up on this module has to stay
 # importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                         describe, dft, extract_features, load_descriptor,
-                         normalize_descriptor, save_descriptor)
+                         _check_magnitudes, describe, dft, extract_features,
+                         load_descriptor, normalize_descriptor,
+                         save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
                      InsufficientSamples, IoError, MetaMismatch,
                      UnknownIdentity)
@@ -42,11 +43,9 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 _CHUNK_ROWS = 1024
 
 
-def _check_name(label: str, what: str) -> str:
+def _check_name(label: str, what: str) -> None:
     if not isinstance(label, str) or not _NAME_RE.match(label):
-        raise ValueError(
-            f"{what} must be alphanumeric with ._- separators, got {label!r}")
-    return label
+        raise ValueError(f"{what} must be alphanumeric with ._- separators, got {label!r}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -91,9 +90,12 @@ class Gallery:
         if len(sample_ids) != len(identities) or mags.shape != (len(identities), meta.k):
             raise ValueError(f"need {len(identities)} sample ids and rows of {meta.k}, got "
                              f"{len(sample_ids)} and a matrix of shape {mags.shape}")
-        # min() and max() propagate nan, which fails both comparisons
-        if mags.size and not (mags.min() >= 0 and mags.max() < np.inf):
-            raise ValueError("magnitudes must be finite and nonnegative")
+        # distinct names in enrollment order, so the first bad one reported is
+        # deterministic and a non-string is a ValueError, not a failed sort
+        for what, labels in (("identity", identities), ("sample_id", sample_ids)):
+            for label in dict.fromkeys(labels):
+                _check_name(label, what)
+        _check_magnitudes(mags)
         if len(set(zip(identities, sample_ids))) < len(identities):
             seen = set()
             key = next(k for k in zip(identities, sample_ids) if k in seen or seen.add(k))
@@ -129,11 +131,9 @@ def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]]
            config: PipelineConfig) -> Gallery:
     """Add `(sample_id, image)` pairs of one identity; `Gallery` rejects a key twice."""
     _check_meta(gallery, config)
-    _check_name(identity, "identity")
-    sample_ids = tuple(_check_name(sample_id, "sample_id") for sample_id, _ in samples)
     rows = [extract_features(img, config).magnitudes for _, img in samples]
     return Gallery._from_columns(gallery.meta, gallery.identities + (identity,) * len(rows),
-                                 gallery.sample_ids + sample_ids,
+                                 gallery.sample_ids + tuple(s for s, _ in samples),
                                  np.vstack([gallery.magnitudes, *rows]))
 
 
@@ -443,9 +443,8 @@ def save_gallery(gallery: Gallery, root) -> None:
         raise ValueError("gallery meta must carry family and levels to be saved")
     lines = [f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
              f"{len(gallery.identities)}"]
-    # a space or newline in a name would break the index it is written to
-    lines += [f"{_check_name(identity, 'identity')} {_check_name(sample_id, 'sample_id')}"
-              for identity, sample_id in zip(gallery.identities, gallery.sample_ids)]
+    # the gallery's names hold no space or newline to break the index
+    lines += [f"{i} {s}" for i, s in zip(gallery.identities, gallery.sample_ids)]
     data = ("\n".join(lines) + "\n").encode("ascii") + gallery.magnitudes.astype("<f8").tobytes()
     root = Path(root)
     manifest = root / MANIFEST_NAME
@@ -459,16 +458,6 @@ def save_gallery(gallery: Gallery, root) -> None:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise IoError(f"cannot write gallery {manifest}: {exc}") from exc
-
-
-def _manifest_meta(manifest: Path, family: str, levels: str, k: str) -> DescriptorMeta:
-    try:
-        meta = DescriptorMeta(WaveletFamily.parse(family), int(levels), int(k))
-    except ValueError as exc:
-        raise FormatError(f"{manifest}: {exc}") from exc
-    if meta.levels < 1 or meta.k < 1:
-        raise FormatError(f"{manifest}: bad header values levels={meta.levels} k={meta.k}")
-    return meta
 
 
 def load_gallery(root) -> Gallery:
@@ -490,11 +479,15 @@ def load_gallery(root) -> Gallery:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{manifest}: bad gallery header: {exc}") from exc
     fields = header.split()
-    if fields[:2] == [_GAL_MAGIC, "v1"] and len(fields) == 5 and not rest.strip():
-        return _load_v1(root, _manifest_meta(manifest, *fields[2:]))
-    if len(fields) != 6 or fields[:2] != [_GAL_MAGIC, _GAL_VERSION]:
+    v1 = fields[:2] == [_GAL_MAGIC, "v1"] and len(fields) == 5 and not rest.strip()
+    if not v1 and (len(fields) != 6 or fields[:2] != [_GAL_MAGIC, _GAL_VERSION]):
         raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
-    meta = _manifest_meta(manifest, *fields[2:5])
+    try:
+        meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
+    except ValueError as exc:
+        raise FormatError(f"{manifest}: {exc}") from exc
+    if v1:
+        return _load_v1(manifest, meta)
     # every index line takes at least one byte, which bounds count before
     # it sizes the split and the payload
     if not fields[5].isdigit() or int(fields[5]) > len(rest):
@@ -507,26 +500,22 @@ def load_gallery(root) -> Gallery:
                           f"{8 * count * meta.k} payload bytes")
     try:
         keys = [line.decode("ascii").partition(" ")[::2] for line in index]
-        return Gallery._from_columns(
-            meta, tuple(_check_name(identity, "identity") for identity, _ in keys),
-            tuple(_check_name(sample_id, "sample_id") for _, sample_id in keys),
-            np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
+        return Gallery._from_columns(meta, tuple(identity for identity, _ in keys),
+                                     tuple(sample_id for _, sample_id in keys),
+                                     np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
 
 
-def _load_v1(root: Path, meta: DescriptorMeta) -> Gallery:
+def _load_v1(manifest: Path, meta: DescriptorMeta) -> Gallery:
     """The v1 layout: one <identity>/<sample_id>.sigfd file per template."""
-    templates = []
-    for ident_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for path in sorted(ident_dir.glob("*.sigfd")):
-            try:
-                _check_name(ident_dir.name, "identity")
-                _check_name(path.stem, "sample_id")
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            templates.append(Template(ident_dir.name, path.stem, load_descriptor(path)))
-    return Gallery(meta, tuple(templates))
+    templates = tuple(Template(ident_dir.name, path.stem, load_descriptor(path))
+                      for ident_dir in sorted(p for p in manifest.parent.iterdir() if p.is_dir())
+                      for path in sorted(ident_dir.glob("*.sigfd")))
+    try:
+        return Gallery(meta, templates)
+    except ValueError as exc:
+        raise FormatError(f"{manifest}: {exc}") from exc
 
 
 def save_dataset(dataset: dict[str, list[GrayImage]], root) -> int:

@@ -211,18 +211,16 @@ def dwt2_level(plane: np.ndarray, filters: FilterPair):
     return ll, lh, hl, hh
 
 
-def _check_levels(img: GrayImage, levels: int) -> None:
-    if not isinstance(levels, int) or levels < 1:
-        raise BadLevels(f"levels must be an integer >= 1, got {levels!r}")
-    h, w = img.pixels.shape
-    step = 1 << levels
-    if h % step or w % step:
-        raise BadLevels(f"{w}x{h} image does not support {levels} halvings")
+def _check_levels(levels, width: int, height: int) -> None:
+    # shifting the extents, rather than building 2**levels, keeps a huge levels cheap
+    if not isinstance(levels, int) or levels < 1 or any(
+            (n >> levels) << levels != n for n in (width, height)):
+        raise BadLevels(f"{width}x{height} does not support {levels!r} halvings")
 
 
 def dwt2_multi(img: GrayImage, family: WaveletFamily, levels: int) -> WaveletDecomposition:
     """Iterate `dwt2_level` on the approximation `levels` times."""
-    _check_levels(img, levels)
+    _check_levels(levels, img.width, img.height)
     filters = analysis_filters(family)
     plane = img.pixels.astype(np.float64)
     details = []
@@ -251,8 +249,8 @@ def approximation(img: GrayImage, family: WaveletFamily, levels: int) -> np.ndar
 
     Equal to `dwt2_multi(img, family, levels).approx` up to rounding.
     """
-    _check_levels(img, levels)
     h, w = img.pixels.shape
+    _check_levels(levels, w, h)
     rows = _lowpass_operator(family, levels, h) @ img.pixels.astype(np.float64)
     return rows @ _lowpass_operator(family, levels, w).T
 

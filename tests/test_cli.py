@@ -247,6 +247,26 @@ def test_enroll_migrates_a_v1_gallery_to_v2(tmp_path, dataset_dir, gallery_dir,
     assert capsys.readouterr().out == v2_answer
 
 
+@pytest.mark.parametrize("levels", [str(2 ** 63), "99999999999999999999"])
+def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, capsys, levels):
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    capsys.readouterr()
+    assert run(["enroll", str(tmp_path / "new"), "a", "--levels", levels, probe]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "BadLevels" in captured.err
+    assert not (tmp_path / "new").exists()
+    # the same value in a stored gallery's header
+    gal = tmp_path / "gal"
+    gal.mkdir()
+    good = (gallery_dir / "MANIFEST.siggal").read_bytes()
+    (gal / "MANIFEST.siggal").write_bytes(good.replace(b" sym8 3 ", f" sym8 {levels} ".encode(), 1))
+    for argv in (["identify", str(gal), probe], ["verify", str(gal), "id000", "--threshold",
+                                                 "1", probe]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "BadLevels" in captured.err
+
+
 def test_enroll_rejects_a_stem_twice_in_one_batch(tmp_path, dataset_dir, gallery_dir, capsys):
     gal = tmp_path / "gal"
     shutil.copytree(gallery_dir, gal)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
                               PipelineConfig, dft, extract_features,
@@ -200,6 +202,9 @@ def test_pipeline_config_rejects_levels_the_target_cannot_halve():
         PipelineConfig(levels=3, k=2, preprocess=PreprocessConfig(target_size=(256, 4)))
     with pytest.raises(BadLevels):
         PipelineConfig(levels=0)
+    for huge in (2 ** 63, 10 ** 20):  # tested without building 2**levels
+        with pytest.raises(BadLevels):
+            PipelineConfig(levels=huge)
 
 
 def test_pipeline_config_rejects_k_beyond_the_coarsest_plane():
@@ -214,3 +219,77 @@ def test_pipeline_config_rejects_k_beyond_the_coarsest_plane():
         with pytest.raises(BadLength):
             PipelineConfig(k=k)
     assert PipelineConfig(levels=2, k=14, preprocess=small).k == 14
+
+
+# --- v1 descriptor file fuzzing ------------------------------------------------------
+
+_SMALL_FD = b"SIGFD v1 haar 2 4\n0.5\n1.25\n3.0\n0.0078125\n"
+
+
+@pytest.fixture(scope="module")
+def fd_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fd") / "fuzz.sigfd"
+
+
+def _load_fd(path, data):
+    """Load `data` as a descriptor; only a descriptor, a FormatError or an IoError may come back."""
+    path.write_bytes(data)
+    try:
+        return load_descriptor(path)
+    except (FormatError, IoError):
+        return None
+
+
+def test_truncated_descriptor_file_loads_or_is_a_format_error(fd_path):
+    assert _load_fd(fd_path, _SMALL_FD).magnitudes.tolist() == [0.5, 1.25, 3.0, 0.0078125]
+    for end in range(len(_SMALL_FD)):
+        # a cut inside the last value still leaves four numbers
+        loads = end >= _SMALL_FD.rindex(b"\n", 0, -1) + 2
+        assert (_load_fd(fd_path, _SMALL_FD[:end]) is not None) == loads, end
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_flipped_descriptor_bytes_load_or_raise_a_data_error(fd_path, data):
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(_SMALL_FD) - 1),
+                                         st.integers(0, 255)), min_size=1, max_size=3))
+    mangled = bytearray(_SMALL_FD)
+    for at, value in flips:
+        mangled[at] = value
+    fd = _load_fd(fd_path, bytes(mangled))
+    if fd is not None:
+        assert fd.magnitudes.shape == (fd.meta.k,) and np.isfinite(fd.magnitudes).all()
+
+
+@pytest.mark.parametrize("text", [
+    "SIGFD v1 haar 2 4\n0.5\nnan\n3.0\n1.0\n",
+    "SIGFD v1 haar 2 4\n0.5\ninf\n3.0\n1.0\n",
+    "SIGFD v1 haar 2 4\n0.5\n-inf\n3.0\n1.0\n",
+    "SIGFD v1 haar 2 4\n0.5\n1e999\n3.0\n1.0\n",
+    "SIGFD v1 haar 0 4\n0.5\n1.25\n3.0\n1.0\n",
+    "SIGFD v1 haar -1 4\n0.5\n1.25\n3.0\n1.0\n",
+    "SIGFD v1 haar 2 0\n",
+    f"SIGFD v1 haar 2 {2 ** 63}\n0.5\n1.25\n3.0\n1.0\n",
+    "SIGFD v1 haar 2 99999999999999999999\n0.5\n",
+    "SIGFD v1 haar 2 " + "9" * 5000 + "\n0.5\n",
+], ids=["nan", "inf", "-inf", "overflow", "levels=0", "levels<0", "k=0", "k=2**63", "k huge",
+        "k 5000 digits"])
+def test_descriptor_file_values_out_of_range_are_format_errors(fd_path, text):
+    fd_path.write_text(text)
+    with pytest.raises(FormatError):
+        load_descriptor(fd_path)
+
+
+def test_descriptor_file_levels_past_any_image_still_load(fd_path):
+    # a descriptor file carries no image size to test levels against; a
+    # gallery or config that holds it does
+    for levels in (2 ** 63, 10 ** 20):
+        fd_path.write_text(f"SIGFD v1 haar {levels} 2\n0.5\n1.0\n")
+        assert load_descriptor(fd_path).meta == DescriptorMeta(WaveletFamily.HAAR, levels, 2)
+
+
+def test_descriptor_meta_checks_its_ranges():
+    assert DescriptorMeta(None, None, 1).k == 1
+    for levels, k in ((0, 4), (-1, 4), (2, 0), (None, 0), (None, -3)):
+        with pytest.raises(ValueError, match=f"levels={levels} k={k}"):
+            DescriptorMeta(WaveletFamily.HAAR, levels, k)

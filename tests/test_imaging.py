@@ -92,6 +92,60 @@ def test_pgm_missing_file():
         load_image("/nonexistent/nope.pgm")
 
 
+# A 3x2 raster keeps every truncation point cheap.
+_SMALL_PGM = b"P5\n3 2\n255\n" + bytes([0, 40, 80, 120, 160, 255])
+
+
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pgm") / "fuzz.pgm"
+
+
+def _load_pgm(path, data):
+    """Load `data` as a PGM; only an image, a FormatError or an IoError may come back."""
+    path.write_bytes(data)
+    try:
+        return load_image(path)
+    except (FormatError, IoError):
+        return None
+
+
+def test_truncated_pgm_is_a_format_error(pgm_path):
+    assert _load_pgm(pgm_path, _SMALL_PGM).pixels.tobytes() == _SMALL_PGM[-6:]
+    for end in range(len(_SMALL_PGM)):
+        pgm_path.write_bytes(_SMALL_PGM[:end])
+        with pytest.raises(FormatError):
+            load_image(pgm_path)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_flipped_pgm_bytes_load_or_raise_a_data_error(pgm_path, data):
+    header = len(_SMALL_PGM) - 6
+    flips = data.draw(st.lists(st.tuples(st.integers(0, header - 1), st.integers(0, 255)),
+                               min_size=1, max_size=3))
+    mangled = bytearray(_SMALL_PGM)
+    for at, value in flips:
+        mangled[at] = value
+    img = _load_pgm(pgm_path, bytes(mangled))
+    if img is not None:
+        assert img.pixels.dtype == np.uint8 and img.pixels.size >= 1
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n0 2\n255\n", b"P5\n3 0\n255\n", b"P5\n0 0\n255\n",
+    b"P5\n9223372036854775808 2\n255\n", b"P5\n3 99999999999999999999\n255\n",
+    b"P5\n" + b"9" * 5000 + b" 2\n255\n", b"P5\n3 2\n" + b"9" * 5000 + b"\n",
+    b"P5\n3 2\n0\n", b"P5\n3 2\n1\n", b"P5\n3 2\n254\n", b"P5\n3 2\n256\n",
+    b"P5\n3 2\n65535\n", b"P5\n-3 2\n255\n", b"P5\n3 +2\n255\n",
+], ids=["w=0", "h=0", "0x0", "w=2**63", "h huge", "w 5000 digits", "maxval 5000 digits",
+        "maxval=0", "maxval=1", "maxval=254", "maxval=256", "maxval=65535", "w<0", "h signed"])
+def test_bad_pgm_dimensions_and_maxval_are_format_errors(pgm_path, header):
+    pgm_path.write_bytes(header + bytes(6))
+    with pytest.raises(FormatError):
+        load_image(pgm_path)
+
+
 # --- median filter -------------------------------------------------------------
 
 def _median_oracle(px, window):
@@ -217,8 +271,11 @@ def test_binarize_explicit_threshold():
     px = np.array([[10, 200], [90, 250]], dtype=np.uint8)
     mask = binarize(GrayImage(px), threshold=100)
     assert np.array_equal(mask.bits, px < 100)
-    with pytest.raises(ValueError):
-        binarize(GrayImage(px), threshold=300)
+    # the threshold is checked before a constant image returns early
+    for img in (GrayImage(px), GrayImage(np.full((4, 4), 77, dtype=np.uint8))):
+        for bad in (300, 256, -1, 1.5):
+            with pytest.raises(ValueError, match="threshold"):
+                binarize(img, threshold=bad)
 
 
 # --- orientation -----------------------------------------------------------------
@@ -437,6 +494,17 @@ def test_warp_far_translation_is_paper_and_huge_scale_samples_the_centre():
                 out = warp_similarity(GrayImage(moved), scale=scale).pixels
                 assert np.array_equal(out, _full_frame(moved, 0.0, scale, 0.0, 0.0))
             assert (warp_similarity(GrayImage(px), scale=scale).pixels == 0).all()
+
+
+def test_warp_tiny_scale_keeps_one_ink_pixel():
+    # every output pixel but the centre maps some 1e20 pixels away, past
+    # the range of an int64 index
+    px = np.full((9, 9), BACKGROUND, dtype=np.uint8)
+    px[4, 4] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = warp_similarity(GrayImage(px), scale=1e-20).pixels
+    assert np.array_equal(out, px)
 
 
 @st.composite

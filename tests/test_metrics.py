@@ -106,6 +106,10 @@ def test_length_mismatch():
         distance(DistanceMeasure("manhattan"), [], [])
     with pytest.raises(LengthMismatch):
         distance(DistanceMeasure("manhattan"), np.zeros((2, 2)), np.zeros((2, 2)))
+    # a scalar, and a vector beside a one-row matrix, are not two vectors either
+    for x, y in ((1.0, 1.0), ([1.0, 2.0], [[1.0, 2.0]]), ([[1.0, 2.0]], [1.0, 2.0])):
+        with pytest.raises(LengthMismatch):
+            distance(DistanceMeasure("manhattan"), x, y)
 
 
 def test_pairwise_matches_scalar_loop():

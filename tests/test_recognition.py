@@ -563,6 +563,40 @@ def test_save_gallery_rejects_bad_names_before_writing(tmp_path, tiny_gallery):
     assert not (tmp_path / "never").exists()
 
 
+def test_gallery_owns_its_names(tiny_gallery):
+    fd = tiny_gallery.templates[0].descriptor
+    for bad in _BAD_NAMES + (7, None):
+        for what, template in (("sample_id", Template("id000", bad, fd)),
+                               ("identity", Template(bad, "s0", fd))):
+            with pytest.raises(ValueError, match=what):
+                Gallery(tiny_gallery.meta, (tiny_gallery.templates[0], template))
+    # a non-string next to strings is a ValueError, not a failed sort
+    with pytest.raises(ValueError, match="identity"):
+        Gallery._from_columns(_FUZZ_META, ("ann", 5), ("s0", "s0"), np.ones((2, 4)))
+    # the first bad name in enrollment order is the one reported
+    with pytest.raises(ValueError, match="'-b'"):
+        Gallery._from_columns(_FUZZ_META, ("a", "-b", "a", ".c"), ("s0", "s1", "s2", "s3"),
+                              np.ones((4, 4)))
+    # names are checked before duplicates
+    with pytest.raises(ValueError, match="sample_id"):
+        Gallery._from_columns(_FUZZ_META, ("a", "a", "a"), ("s0", "s0", "s 1"), np.ones((3, 4)))
+
+
+def test_load_and_save_check_each_distinct_name_once(tmp_path):
+    identities = tuple(f"id{i % 100:03d}" for i in range(1000))
+    sample_ids = tuple(f"s{i // 100}" for i in range(1000))
+    gallery = Gallery._from_columns(_FUZZ_META, identities, sample_ids, np.ones((1000, 4)))
+    with mock.patch.object(recognition, "_check_name",
+                           wraps=recognition._check_name) as check:
+        save_gallery(gallery, tmp_path / "gal")
+        assert check.call_count == 0  # the gallery was checked when it was built
+        back = load_gallery(tmp_path / "gal")
+    assert check.call_count == 100 + 10
+    assert [c.args for c in check.call_args_list[:2]] == [("id000", "identity"),
+                                                          ("id001", "identity")]
+    assert back.identities == identities and back.sample_ids == sample_ids
+
+
 def test_gallery_load_rejects_bad_names_in_the_index(tmp_path, tiny_gallery):
     root = tmp_path / "gal"
     save_gallery(tiny_gallery, root)

@@ -132,6 +132,9 @@ def test_bad_levels_rejected():
         for not_an_int in (1.0, "2"):
             with pytest.raises(BadLevels):
                 fn(img, WaveletFamily.HAAR, not_an_int)
+        for huge in (2 ** 63, 10 ** 20):  # tested without building 2**levels
+            with pytest.raises(BadLevels):
+                fn(img, WaveletFamily.HAAR, huge)
 
 
 @settings(max_examples=60, deadline=None)
