@@ -167,11 +167,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dataset = load_dataset(args.dataset)
+    config = pipeline_from_args(args)
     measures = [measure_from_args(args, name) for name in (args.measures or MEASURE_NAMES)]
     families = args.families or list(WaveletFamily)
-    report = evaluate(dataset, measures, families, args.train_k, args.seed,
-                      pipeline_from_args(args))
+    report = evaluate(load_dataset(args.dataset), measures, families, args.train_k, args.seed,
+                      config)
     proto = report.protocol
     test_k = "ragged" if proto.test_k is None else proto.test_k
     print(f"split: train_k={proto.train_k} test_k={test_k} seed={proto.seed}", file=sys.stderr)
@@ -210,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("identity", metavar="IDENTITY")
     sp.add_argument("--family", type=WaveletFamily.parse, default=None,
                     help="wavelet family for a new gallery (default sym8)")
-    sp.add_argument("--levels", type=_positive_int, default=None,
+    sp.add_argument("--levels", type=int, default=None,
                     help="decomposition depth for a new gallery (default 3)")
-    sp.add_argument("--k", type=_positive_int, default=None,
+    sp.add_argument("--k", type=int, default=None,
                     help="retained magnitudes for a new gallery (default 64)")
     _add_preprocess_flags(sp)
     sp.add_argument("images", nargs="+", metavar="IMAGE",
@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="templates per identity (default 12)")
     sp.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
     sp.add_argument("--minkowski-p", type=float, default=DEFAULT_MINKOWSKI_P, metavar="P")
-    sp.add_argument("--levels", type=_positive_int, default=3)
-    sp.add_argument("--k", type=_positive_int, default=64)
+    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--k", type=int, default=64)
     _add_preprocess_flags(sp)
     sp.add_argument("--out", metavar="FILE", default=None,
                     help="write the CSV here instead of stdout")

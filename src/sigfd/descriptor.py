@@ -37,6 +37,12 @@ class DescriptorMeta:
             raise ValueError(f"need levels and k >= 1, got levels={self.levels} k={self.k}")
 
 
+def _check_savable(meta: DescriptorMeta) -> None:
+    """A saved header names the family and levels, so both must be set."""
+    if meta.family is None or meta.levels is None:
+        raise ValueError(f"meta must carry family and levels to be saved, got {meta}")
+
+
 def _check_magnitudes(mags: np.ndarray) -> None:
     # min() and max() propagate nan, which fails both comparisons
     if mags.size and not (mags.min() >= 0 and mags.max() < np.inf):
@@ -146,8 +152,7 @@ def save_descriptor(fd: FourierDescriptor, path) -> None:
     bit-identical values.
     """
     meta = fd.meta
-    if meta.family is None or meta.levels is None:
-        raise ValueError("descriptor must carry family and levels to be saved")
+    _check_savable(meta)
     lines = [f"{_MAGIC} {_VERSION} {meta.family.value} {meta.levels} {meta.k}"]
     lines += [repr(float(v)) for v in fd.magnitudes]
     try:

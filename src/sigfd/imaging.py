@@ -265,25 +265,26 @@ def estimate_orientation(mask: ForegroundMask) -> float:
 def _sample_bilinear(px: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: int) -> np.ndarray:
     """Bilinear samples of `px` at (xs, ys); taps outside the image read `fill`.
 
-    The image is padded by one `fill` pixel on every side, and each tap's
-    index is clipped to [-1, n] and shifted by one, so every tap is one
-    plain gather from the padded image.  Coordinates are first clipped to
-    [-2, n+1], which keeps every tap that reads the image and keeps the
-    integer cast in range however far a tiny scale maps them.
+    `xs` and `ys` broadcast together.  The uint8 image is padded with `fill`,
+    one pixel before and two after on each axis, and flattened; with stride
+    w + 3 and base the flat index of (floor(y), floor(x)), the four taps are
+    base, base+1, base+stride and base+stride+1.  Coordinates are clipped to
+    [-1, n], which keeps every tap in the padding and changes no byte: past
+    an edge all four taps read `fill`, and at the edge `fill` has weight 1
+    and the image weight exactly 0.
     """
     h, w = px.shape
-    padded = np.pad(px.astype(np.float64), 1, constant_values=float(fill))
-    xs = np.clip(xs, -2.0, w + 1.0)
-    ys = np.clip(ys, -2.0, h + 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    fx = xs - x0
-    fy = ys - y0
-    xtaps = ((1.0 - fx, np.clip(x0, -1, w) + 1), (fx, np.clip(x0 + 1, -1, w) + 1))
-    out = np.zeros(xs.shape)
-    for wy, yi in ((1.0 - fy, np.clip(y0, -1, h) + 1), (fy, np.clip(y0 + 1, -1, h) + 1)):
-        for wx, xi in xtaps:
-            out += wy * wx * padded[yi, xi]
+    stride = w + 3
+    flat = np.pad(px, ((1, 2), (1, 2)), constant_values=fill).ravel()
+    xs = np.clip(xs, -1.0, w)
+    ys = np.clip(ys, -1.0, h)
+    x0, y0 = np.floor(xs), np.floor(ys)
+    fx, fy = xs - x0, ys - y0
+    base = ((y0 + 1.0) * stride + (x0 + 1.0)).astype(np.intp)
+    out = np.zeros(base.shape)
+    for wy, row in ((1.0 - fy, flat), (fy, flat[stride:])):
+        for wx, taps in ((1.0 - fx, row), (fx, row[1:])):
+            out += (wy * wx) * taps.take(base)
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
@@ -339,8 +340,8 @@ def warp_similarity(img: GrayImage, rotation: float = 0.0, scale: float = 1.0,
     fy = [scale * (sa * u + ca * v) + cy + dy for u, v in corners]
     r0, r1 = _reach(min(fy), max(fy), h)
     c0, c1 = _reach(min(fx), max(fx), w)
-    yy, xx = np.meshgrid(np.arange(h)[r0:r1] - cy - dy, np.arange(w)[c0:c1] - cx - dx,
-                         indexing="ij")
+    yy = (np.arange(r0, r1) - cy - dy)[:, None]
+    xx = (np.arange(c0, c1) - cx - dx)[None, :]
     xs = (ca * xx + sa * yy) / scale + cx
     ys = (-sa * xx + ca * yy) / scale + cy
     out[r0:r1, c0:c1] = _sample_bilinear(px, xs, ys, BACKGROUND)
@@ -362,8 +363,7 @@ def scale_normalize(img: GrayImage, target_size: tuple[int, int]) -> GrayImage:
         return GrayImage(img.pixels.copy())
     xs = np.clip((np.arange(tw) + 0.5) * (w / tw) - 0.5, 0.0, w - 1.0)
     ys = np.clip((np.arange(th) + 0.5) * (h / th) - 0.5, 0.0, h - 1.0)
-    gx, gy = np.meshgrid(xs, ys)
-    return GrayImage(_sample_bilinear(img.pixels, gx, gy, BACKGROUND))
+    return GrayImage(_sample_bilinear(img.pixels, xs[None, :], ys[:, None], BACKGROUND))
 
 
 # --- full chain ---------------------------------------------------------------

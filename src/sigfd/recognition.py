@@ -20,9 +20,9 @@ import numpy as np
 # module globals, so every name it looks up on this module has to stay
 # importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                         _check_magnitudes, describe, dft, extract_features,
-                         load_descriptor, normalize_descriptor,
-                         save_descriptor)
+                         _check_magnitudes, _check_savable, describe, dft,
+                         extract_features, load_descriptor,
+                         normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
                      InsufficientSamples, IoError, MetaMismatch,
                      UnknownIdentity)
@@ -439,8 +439,7 @@ def save_gallery(gallery: Gallery, root) -> None:
     so a save that fails leaves the previous gallery as it was.
     """
     meta = gallery.meta
-    if meta.family is None or meta.levels is None:
-        raise ValueError("gallery meta must carry family and levels to be saved")
+    _check_savable(meta)
     lines = [f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
              f"{len(gallery.identities)}"]
     # the gallery's names hold no space or newline to break the index

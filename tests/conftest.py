@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,10 @@ def _write_v1_gallery(gallery, root) -> Path:
 @pytest.fixture(scope="session")
 def write_v1_gallery():
     return _write_v1_gallery
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    """`importlib.import_module` with the benchmark's own `bench/` on the path."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module

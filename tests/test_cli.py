@@ -267,6 +267,30 @@ def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, capsys, 
         assert captured.out == "" and "BadLevels" in captured.err
 
 
+@pytest.mark.parametrize("flag,value,error", [
+    ("--levels", "0", "BadLevels"), ("--levels", "-1", "BadLevels"), ("--levels", "1", None),
+    ("--levels", "9", "BadLevels"), ("--k", "0", "BadLength"), ("--k", "-1", "BadLength"),
+    ("--k", "1", "BadLength"), ("--k", "9", None)])
+def test_levels_and_k_have_one_rule_and_one_exit_code(tmp_path, dataset_dir, capsys,
+                                                      flag, value, error):
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    capsys.readouterr()
+    code = run(["enroll", str(tmp_path / "new"), "a", f"{flag}={value}", probe])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == 0 and captured.out == "enrolled 1 sample(s) for a\n"
+        assert run(["evaluate", str(dataset_dir), "--measures", "manhattan", "--families",
+                    "haar", "--train-k", "2", f"{flag}={value}"]) == 0
+        assert capsys.readouterr().out.startswith("measure,haar\n")
+        return
+    assert code == 2 and captured.out == "" and error in captured.err
+    assert not (tmp_path / "new").exists()
+    # evaluate reports the flag before it reads the dataset
+    assert run(["evaluate", str(tmp_path / "missing"), f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and error in captured.err
+
+
 def test_enroll_rejects_a_stem_twice_in_one_batch(tmp_path, dataset_dir, gallery_dir, capsys):
     gal = tmp_path / "gal"
     shutil.copytree(gallery_dir, gal)

@@ -10,6 +10,7 @@ from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
 from sigfd.errors import (BadLength, BadLevels, DegenerateDescriptor,
                           FormatError, IoError)
 from sigfd.imaging import GrayImage, PreprocessConfig
+from sigfd.recognition import Gallery, Template, save_gallery
 from sigfd.wavelet import WaveletFamily, dwt2_multi
 
 
@@ -159,9 +160,15 @@ def test_descriptor_file_header_format(tmp_path):
 
 
 def test_descriptor_without_meta_cannot_be_saved(tmp_path):
-    fd = FourierDescriptor(np.array([1.0, 2.0]), DescriptorMeta(None, None, 2))
-    with pytest.raises(ValueError):
-        save_descriptor(fd, tmp_path / "d.sigfd")
+    # one rule for both files that store a meta header
+    for meta in (DescriptorMeta(None, None, 2), DescriptorMeta(WaveletFamily.HAAR, None, 2),
+                 DescriptorMeta(None, 1, 2)):
+        fd = FourierDescriptor(np.array([1.0, 2.0]), meta)
+        with pytest.raises(ValueError, match="must carry family and levels to be saved"):
+            save_descriptor(fd, tmp_path / "d.sigfd")
+        with pytest.raises(ValueError, match="must carry family and levels to be saved"):
+            save_gallery(Gallery(meta, (Template("a", "s0", fd),)), tmp_path / "gal")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_descriptor_file_rejects_corruption(tmp_path):

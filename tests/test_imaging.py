@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -418,6 +419,20 @@ def test_warp_integer_translation_moves_content():
         assert np.array_equal(out, expected), (dx, dy)
 
 
+def _bilinear_reference(px, x, y, fill):
+    """One bilinear sample at (x, y): the taps floor(c) and floor(c)+1 on each
+    axis, `fill` off the image, each weight product times its tap added onto
+    0.0 in the order y0x0, y0x1, y1x0, y1x1, rounded half to even into a byte."""
+    h, w = px.shape
+    x0, y0 = math.floor(x), math.floor(y)
+    acc = 0.0
+    for yi, wy in ((y0, 1.0 - (y - y0)), (y0 + 1, y - y0)):
+        for xi, wx in ((x0, 1.0 - (x - x0)), (x0 + 1, x - x0)):
+            inside = 0 <= yi < h and 0 <= xi < w
+            acc += wy * wx * (float(px[yi, xi]) if inside else float(fill))
+    return min(max(round(acc), 0), 255)
+
+
 def _warp_reference(px, rotation, scale, dx, dy):
     """Per-pixel bilinear inverse map; taps off the image read BACKGROUND."""
     h, w = px.shape
@@ -427,16 +442,38 @@ def _warp_reference(px, rotation, scale, dx, dy):
     for r in range(h):
         for c in range(w):
             u, v = c - cx - dx, r - cy - dy
-            x = (ca * u + sa * v) / scale + cx
-            y = (-sa * u + ca * v) / scale + cy
-            x0, y0 = math.floor(x), math.floor(y)
-            acc = 0.0
-            for yi, wy in ((y0, 1.0 - (y - y0)), (y0 + 1, y - y0)):
-                for xi, wx in ((x0, 1.0 - (x - x0)), (x0 + 1, x - x0)):
-                    inside = 0 <= yi < h and 0 <= xi < w
-                    acc += wy * wx * (float(px[yi, xi]) if inside else float(BACKGROUND))
-            out[r, c] = min(max(round(acc), 0), 255)
+            out[r, c] = _bilinear_reference(px, (ca * u + sa * v) / scale + cx,
+                                            (-sa * u + ca * v) / scale + cy, BACKGROUND)
     return out
+
+
+def _axis_coordinates(n):
+    """Sample coordinates along an axis of n pixels: the edges -1, 0, n-1 and
+    n, half-integers, points in [-2, -1) and (n, n+1], +-1e20, and a 0.1-step
+    run over the first pixels, whose weights make sums that land next to a
+    half, where the order of accumulation decides the byte."""
+    edges = [-1e20, -2.0, -1.75, -1.5, -1.0 - 2.0 ** -30, -1.0, -0.5, -(2.0 ** -30), 0.0, 0.5,
+             n - 1.5, n - 1.0, n - 0.5, n - 2.0 ** -30, float(n), n + 2.0 ** -30, n + 0.5,
+             n + 1.0, 1e20]
+    return np.concatenate([edges, np.arange(-2.0, min(n, 12) + 1.0, 0.1)])
+
+
+@pytest.mark.parametrize("fill", [0, BACKGROUND])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (256, 256)],
+                         ids=["1x1", "1x9", "9x1", "256x256"])
+def test_sampler_matches_a_per_sample_reference(shape, fill):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    xs, ys = _axis_coordinates(shape[1]), _axis_coordinates(shape[0])
+    # every sample of the grid, in broadcast (1, C)/(R, 1) and full (R, C) form
+    expected = np.array([[_bilinear_reference(px, x, y, fill) for x in xs] for y in ys])
+    assert np.array_equal(_sample_bilinear(px, xs[None, :], ys[:, None], fill), expected)
+    gx, gy = np.meshgrid(xs, ys)
+    assert np.array_equal(_sample_bilinear(px, gx, gy, fill), expected)
+    # a full grid that is no product of two axes
+    gx, gy = rng.choice(xs, size=(7, 40)), rng.choice(ys, size=(7, 40))
+    expected = np.vectorize(lambda x, y: _bilinear_reference(px, x, y, fill))(gx, gy)
+    assert np.array_equal(_sample_bilinear(px, gx, gy, fill), expected)
 
 
 def test_warp_matches_a_per_pixel_reference():
@@ -596,3 +633,19 @@ def test_preprocess_config_validation():
         PreprocessConfig(target_size=(100, 64))
     with pytest.raises(ValueError):
         PreprocessConfig(binarize_threshold=999)
+
+
+# SHA-256 of the pixels `preprocess` makes of 16 scrawls from the benchmark's
+# generator at seed 0, at the default target and at 128x64.  A change that
+# moves any preprocessed pixel changes it, and has to show its pixel diff and
+# record the new digest here; a change to `bench/scrawl.py` does too.
+_GOLDEN_PREPROCESS = "22343f672210fa610d9b75031df6ae0af18181d58bc8bd63f83f7cd4b37eb660"
+
+
+def test_preprocess_pixels_match_the_golden_digest(bench_module):
+    scrawl = bench_module("scrawl")
+    digest = hashlib.sha256()
+    for config in (PreprocessConfig(), PreprocessConfig(target_size=(128, 64))):
+        for (px,) in scrawl.make_identities(0, "golden", 16, 1):
+            digest.update(preprocess(GrayImage(px), config).pixels.tobytes())
+    assert digest.hexdigest() == _GOLDEN_PREPROCESS

@@ -7,7 +7,6 @@ module no longer calls them.
 """
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
@@ -17,9 +16,8 @@ MODULES = sorted((ROOT / "src" / "sigfd").glob("*.py"))
 
 
 @pytest.fixture
-def traced_names(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    spans = importlib.import_module("spans")
+def traced_names(bench_module):
+    spans = bench_module("spans")
     return {(module.__name__, attr) for module, attr, _, _ in spans.SITES}
 
 

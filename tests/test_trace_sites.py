@@ -6,9 +6,7 @@ benchmark fail with `AttributeError`, and a global the program stops
 looking up would make its span read 0, so both are checked here.
 """
 
-import importlib
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +16,10 @@ from sigfd.descriptor import extract_features
 from sigfd.imaging import GrayImage, save_image
 from sigfd.recognition import Gallery, Template, save_gallery
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
 
 @pytest.fixture
-def spans(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    return importlib.import_module("spans")
+def spans(bench_module):
+    return bench_module("spans")
 
 
 def test_every_trace_site_resolves_on_the_live_modules(spans):
