@@ -6,6 +6,7 @@ stdout; diagnostics and progress go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,6 +28,30 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose arguments are added only to the one being parsed.
+
+    Every subcommand is registered with its help at once, so the top-level
+    help and choices are complete; `add_parser` takes a `fill` function
+    that adds the subcommand's arguments, and it runs when that subcommand
+    is chosen, before its parser sees the rest of the command line.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = {}
+
+    def add_parser(self, name, *, fill, **kwargs):
+        self._fill[name] = fill
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        fill = self._fill.pop(values[0], None)
+        if fill is not None:
+            fill(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _vetted(value: int, check) -> int:
@@ -82,11 +107,12 @@ def _family_list(text: str) -> list[WaveletFamily]:
 
 
 def _add_preprocess_flags(sp) -> None:
-    sp.add_argument("--median-window", type=_odd_int, default=3, metavar="N",
+    # None marks a flag not given, which a stored gallery's value then fills
+    sp.add_argument("--median-window", type=_odd_int, default=None, metavar="N",
                     help="median filter window, odd (default 3)")
-    sp.add_argument("--target-size", type=_pow2_int, nargs=2, default=[256, 256],
+    sp.add_argument("--target-size", type=_pow2_int, nargs=2, default=None,
                     metavar=("W", "H"), help="output geometry, powers of two (default 256 256)")
-    sp.add_argument("--no-slant", action="store_true",
+    sp.add_argument("--no-slant", action="store_true", default=None,
                     help="skip slant normalization")
     sp.add_argument("--binarize-threshold", type=_byte_int, default=None, metavar="T",
                     help="fixed ink threshold instead of Otsu's")
@@ -99,23 +125,25 @@ def _add_measure_flags(sp) -> None:
                     help="Minkowski order (default 3)")
 
 
-def pipeline_from_args(args: argparse.Namespace,
-                       meta: DescriptorMeta | None = None) -> PipelineConfig:
+def pipeline_from_args(args: argparse.Namespace, meta: DescriptorMeta | None = None,
+                       preprocess: PreprocessConfig | None = None) -> PipelineConfig:
     """Extraction parameters from the flags.
 
-    Explicit `--family/--levels/--k` flags win; a stored gallery's `meta`
-    supplies the ones not given, and `PipelineConfig`'s defaults fill what
-    is left.  A flag that disagrees with the gallery is caught where the
-    config meets the gallery (`MetaMismatch`).
+    Explicit flags win; a stored gallery's `meta` and `preprocess` supply
+    the ones not given, and the defaults of `PipelineConfig` and
+    `PreprocessConfig` fill what is left.  A flag that disagrees with the
+    gallery is caught where the config meets the gallery (`MetaMismatch`).
     """
     chosen = {} if meta is None else {"family": meta.family, "levels": meta.levels, "k": meta.k}
     for name in ("family", "levels", "k"):
         if getattr(args, name, None) is not None:
             chosen[name] = getattr(args, name)
-    pre = PreprocessConfig(median_window=args.median_window,
-                           target_size=tuple(args.target_size),
-                           slant_enabled=not args.no_slant,
-                           binarize_threshold=args.binarize_threshold)
+    flags = {"median_window": args.median_window,
+             "target_size": None if args.target_size is None else tuple(args.target_size),
+             "slant_enabled": None if args.no_slant is None else not args.no_slant,
+             "binarize_threshold": args.binarize_threshold}
+    pre = dataclasses.replace(PreprocessConfig() if preprocess is None else preprocess,
+                              **{name: v for name, v in flags.items() if v is not None})
     return PipelineConfig(preprocess=pre, **chosen)
 
 
@@ -127,10 +155,11 @@ def measure_from_args(args: argparse.Namespace, name: str | None = None) -> Dist
 def _cmd_enroll(args) -> int:
     root = Path(args.gallery)
     gallery = load_gallery(root) if (root / MANIFEST_NAME).exists() else None
-    config = pipeline_from_args(args, None if gallery is None else gallery.meta)
+    config = (pipeline_from_args(args) if gallery is None
+              else pipeline_from_args(args, gallery.meta, gallery.preprocess))
     samples = [(Path(path).stem, load_image(path)) for path in args.images]
     if gallery is None:
-        gallery = Gallery(config.meta)
+        gallery = Gallery(config.meta, preprocess=config.preprocess)
     save_gallery(enroll(gallery, args.identity, samples, config), root)
     print(f"enrolled {len(args.images)} sample(s) for {args.identity}")
     return 0
@@ -147,7 +176,7 @@ def _dump_subbands(img, config: PipelineConfig, out_dir: Path) -> None:
 def _cmd_identify(args) -> int:
     measure = measure_from_args(args)
     gallery = load_gallery(args.gallery)
-    config = pipeline_from_args(args, gallery.meta)
+    config = pipeline_from_args(args, gallery.meta, gallery.preprocess)
     img = load_image(args.image)
     result = identify(gallery, img, measure, config)
     if args.dump_subbands:
@@ -159,7 +188,7 @@ def _cmd_identify(args) -> int:
 def _cmd_verify(args) -> int:
     measure = measure_from_args(args)
     gallery = load_gallery(args.gallery)
-    config = pipeline_from_args(args, gallery.meta)
+    config = pipeline_from_args(args, gallery.meta, gallery.preprocess)
     img = load_image(args.image)
     result = verify(gallery, args.identity, img, measure, args.threshold, config)
     print(f"{'genuine' if result.genuine else 'forgery'} {result.distance:.6f}")
@@ -199,13 +228,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sigfd",
-                     description="Offline signature recognition with "
-                                 "wavelet-domain Fourier descriptors.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("enroll", help="extract and store templates for one identity")
+def _enroll_args(sp) -> None:
     sp.add_argument("gallery", metavar="GALLERY")
     sp.add_argument("identity", metavar="IDENTITY")
     sp.add_argument("--family", type=WaveletFamily.parse, default=None,
@@ -219,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="PGM files; file stems become sample ids")
     sp.set_defaults(handler=_cmd_enroll)
 
-    sp = sub.add_parser("identify", help="match a probe against every identity")
+
+def _identify_args(sp) -> None:
     sp.add_argument("gallery", metavar="GALLERY")
     _add_measure_flags(sp)
     _add_preprocess_flags(sp)
@@ -228,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("image", metavar="IMAGE")
     sp.set_defaults(handler=_cmd_identify)
 
-    sp = sub.add_parser("verify", help="accept or reject a claimed identity")
+
+def _verify_args(sp) -> None:
     sp.add_argument("gallery", metavar="GALLERY")
     sp.add_argument("identity", metavar="IDENTITY")
     sp.add_argument("--threshold", type=float, required=True,
@@ -238,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("image", metavar="IMAGE")
     sp.set_defaults(handler=_cmd_verify)
 
-    sp = sub.add_parser("evaluate", help="recognition-rate grid over a labeled dataset")
+
+def _evaluate_args(sp) -> None:
     sp.add_argument("dataset", metavar="DATASET_ROOT",
                     help="directory tree <identity>/<sample>.pgm")
     sp.add_argument("--measures", type=_measure_list, default=None,
@@ -256,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the CSV here instead of stdout")
     sp.set_defaults(handler=_cmd_evaluate)
 
-    sp = sub.add_parser("synth", help="generate a labeled synthetic dataset")
+
+def _synth_args(sp) -> None:
     sp.add_argument("out", metavar="OUT_ROOT")
     sp.add_argument("--identities", type=_positive_int, default=18)
     sp.add_argument("--samples", type=_positive_int, default=24)
@@ -271,6 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="salt-and-pepper fraction (default 0.02)")
     sp.set_defaults(handler=_cmd_synth)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser; a subcommand's arguments are added when it is parsed."""
+    parser = _Parser(prog="sigfd",
+                     description="Offline signature recognition with "
+                                 "wavelet-domain Fourier descriptors.")
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    sub.add_parser("enroll", fill=_enroll_args,
+                   help="extract and store templates for one identity")
+    sub.add_parser("identify", fill=_identify_args, help="match a probe against every identity")
+    sub.add_parser("verify", fill=_verify_args, help="accept or reject a claimed identity")
+    sub.add_parser("evaluate", fill=_evaluate_args,
+                   help="recognition-rate grid over a labeled dataset")
+    sub.add_parser("synth", fill=_synth_args, help="generate a labeled synthetic dataset")
     return parser
 
 

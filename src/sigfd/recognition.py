@@ -8,6 +8,7 @@ enrollment order.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -24,17 +25,17 @@ from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
                          extract_features, load_descriptor,
                          normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
-                     InsufficientSamples, IoError, MetaMismatch,
+                     InsufficientSamples, IoError, MetaMismatch, SigfdError,
                      UnknownIdentity)
-from .imaging import (BACKGROUND, GrayImage, load_image, preprocess,
-                      save_image, warp_similarity)
+from .imaging import (BACKGROUND, GrayImage, PreprocessConfig, load_image,
+                      preprocess, save_image, warp_similarity)
 from .metrics import DistanceMeasure, distance, pairwise_distances
 from .wavelet import WaveletFamily, dwt2_multi
 
 MANIFEST_NAME = "MANIFEST.siggal"
 
 _GAL_MAGIC = "SIGGAL"
-_GAL_VERSION = "v2"
+_GAL_VERSION = "v3"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -42,10 +43,55 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 # working set stays (probes x _CHUNK_ROWS x k) however large the gallery.
 _CHUNK_ROWS = 1024
 
+_NO_CODES = np.zeros(0, dtype=np.int32)
+
 
 def _check_name(label: str, what: str) -> None:
     if not isinstance(label, str) or not _NAME_RE.match(label):
         raise ValueError(f"{what} must be alphanumeric with ._- separators, got {label!r}")
+
+
+def _merge_names(table: tuple[str, ...], codes: np.ndarray, labels, what: str):
+    """The (table, codes) column with `labels` appended.
+
+    Each distinct label is checked, in the order given, before the sorted
+    table takes in the new ones and the old codes are remapped to it.
+    """
+    distinct = dict.fromkeys(labels)
+    for label in distinct:
+        _check_name(label, what)
+    merged = tuple(sorted(set(table).union(distinct)))
+    position = {name: i for i, name in enumerate(merged)}
+    remap = np.fromiter(map(position.__getitem__, table), np.int32, len(table))
+    added = np.fromiter(map(position.__getitem__, labels), np.int32, len(labels))
+    return merged, np.concatenate([remap[codes], added])
+
+
+def _check_table(table: tuple[str, ...], what: str) -> None:
+    for name in table:
+        _check_name(name, what)
+    if any(a >= b for a, b in itertools.pairwise(table)):
+        raise ValueError(f"the {what} table must be strictly increasing")
+
+
+def _check_codes(names, columns: np.ndarray, sample_names, sample_columns: np.ndarray) -> None:
+    """Every code names a table entry, every entry is used, and no key is repeated.
+
+    A key is the (identity, sample id) pair, encoded as
+    `identity_code * len(sample_names) + sample_code`.
+    """
+    for table, codes, what in ((names, columns, "identity"),
+                               (sample_names, sample_columns, "sample_id")):
+        if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
+            raise ValueError(f"{what} codes must lie in [0, {len(table)})")
+        if not np.bincount(codes, minlength=len(table)).all():
+            raise ValueError(f"the {what} table lists a name no template has")
+    keys = np.sort(columns.astype(np.int64) * len(sample_names) + sample_columns)
+    if (keys[1:] == keys[:-1]).any():
+        seen = set()
+        key = next(k for k in zip(columns.tolist(), sample_columns.tolist())
+                   if k in seen or seen.add(k))
+        raise DuplicateSample(f"{(names[key[0]], sample_names[key[1]])!r} enrolled twice")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -61,58 +107,80 @@ class Template:
 class Gallery:
     """Immutable template store; enrollment returns a new gallery.
 
-    Template t is (`identities[t]`, `sample_ids[t]`) in enrollment order, with
-    row t of the read-only (count, k) `magnitudes` and identity `names[columns[t]]`.
+    Keys are dictionary-encoded: template t, in enrollment order, is identity
+    `names[columns[t]]` with sample id `sample_names[sample_columns[t]]` and
+    row t of the read-only (count, k) `magnitudes`.  Each table is sorted and
+    holds each name once.  `preprocess` is how the templates' images were
+    preprocessed; probes must be preprocessed the same way.
     """
 
     meta: DescriptorMeta
-    identities: tuple[str, ...]
-    sample_ids: tuple[str, ...]
-    magnitudes: np.ndarray
+    preprocess: PreprocessConfig
     names: tuple[str, ...]
     columns: np.ndarray
+    sample_names: tuple[str, ...]
+    sample_columns: np.ndarray
+    magnitudes: np.ndarray
 
-    def __new__(cls, meta: DescriptorMeta, templates: tuple[Template, ...] = ()):
+    def __new__(cls, meta: DescriptorMeta, templates: tuple[Template, ...] = (),
+                preprocess: PreprocessConfig = PreprocessConfig()):
         for t in templates:
             # records usually share their gallery's meta object, and `is` is cheap
             if t.descriptor.meta is not meta and t.descriptor.meta != meta:
                 raise MetaMismatch(f"template {(t.identity, t.sample_id)!r} has meta "
                                    f"{t.descriptor.meta}, gallery has {meta}")
         mags = np.array([t.descriptor.magnitudes for t in templates], dtype=np.float64)
-        return cls._from_columns(meta, tuple(t.identity for t in templates),
-                                 tuple(t.sample_id for t in templates),
-                                 mags.reshape(len(templates), meta.k))
+        return cls._from_keys(meta, tuple(t.identity for t in templates),
+                              tuple(t.sample_id for t in templates),
+                              mags.reshape(len(templates), meta.k), preprocess)
 
     @classmethod
-    def _from_columns(cls, meta, identities, sample_ids, magnitudes) -> "Gallery":
-        """The one place a gallery is checked and built; `magnitudes` becomes read-only."""
+    def _from_keys(cls, meta, identities, sample_ids, magnitudes,
+                   preprocess: PreprocessConfig = PreprocessConfig()) -> "Gallery":
+        """A gallery from one (identity, sample id) key per template, in enrollment order."""
+        names, columns = _merge_names((), _NO_CODES, identities, "identity")
+        sample_names, sample_columns = _merge_names((), _NO_CODES, sample_ids, "sample_id")
+        return cls._from_columns(meta, names, columns, sample_names, sample_columns,
+                                 magnitudes, preprocess)
+
+    @classmethod
+    def _from_columns(cls, meta, names, columns, sample_names, sample_columns, magnitudes,
+                      preprocess: PreprocessConfig = PreprocessConfig()) -> "Gallery":
+        """The one place a gallery is checked and built; the arrays become read-only."""
+        columns = np.ascontiguousarray(columns, dtype=np.int32)
+        sample_columns = np.ascontiguousarray(sample_columns, dtype=np.int32)
         mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
-        if len(sample_ids) != len(identities) or mags.shape != (len(identities), meta.k):
-            raise ValueError(f"need {len(identities)} sample ids and rows of {meta.k}, got "
-                             f"{len(sample_ids)} and a matrix of shape {mags.shape}")
-        # distinct names in enrollment order, so the first bad one reported is
-        # deterministic and a non-string is a ValueError, not a failed sort
-        for what, labels in (("identity", identities), ("sample_id", sample_ids)):
-            for label in dict.fromkeys(labels):
-                _check_name(label, what)
+        count = len(columns)
+        if sample_columns.shape != (count,) or mags.shape != (count, meta.k):
+            raise ValueError(f"need {count} sample codes and rows of {meta.k}, got "
+                             f"{len(sample_columns)} and a matrix of shape {mags.shape}")
+        _check_table(names, "identity")
+        _check_table(sample_names, "sample_id")
         _check_magnitudes(mags)
-        if len(set(zip(identities, sample_ids))) < len(identities):
-            seen = set()
-            key = next(k for k in zip(identities, sample_ids) if k in seen or seen.add(k))
-            raise DuplicateSample(f"{key!r} enrolled twice")
-        names = tuple(sorted(set(identities)))
-        column = {name: i for i, name in enumerate(names)}
-        columns = np.array([column[i] for i in identities], dtype=np.intp)
-        mags.flags.writeable = columns.flags.writeable = False
+        _check_codes(names, columns, sample_names, sample_columns)
+        for array in (columns, sample_columns, mags):
+            array.flags.writeable = False
         gallery = object.__new__(cls)
         # the fields are frozen, so they are written past __setattr__
-        vars(gallery).update(meta=meta, identities=identities, sample_ids=sample_ids,
-                             magnitudes=mags, names=names, columns=columns)
+        vars(gallery).update(meta=meta, preprocess=preprocess, names=tuple(names),
+                             columns=columns, sample_names=tuple(sample_names),
+                             sample_columns=sample_columns, magnitudes=mags)
         return gallery
 
     def __reduce__(self):
         # copies and pickles are rebuilt, and so re-checked, through the column constructor
-        return Gallery._from_columns, (self.meta, self.identities, self.sample_ids, self.magnitudes)
+        return Gallery._from_columns, (self.meta, self.names, self.columns, self.sample_names,
+                                       self.sample_columns, self.magnitudes, self.preprocess)
+
+    @property
+    def identities(self) -> tuple[str, ...]:
+        """Each template's identity in enrollment order, built on each access."""
+        return tuple(map(self.names.__getitem__, self.columns.tolist()))
+
+    @property
+    def sample_ids(self) -> tuple[str, ...]:
+        """Each template's sample id in enrollment order, built on each access."""
+        return tuple(map(self.sample_names.__getitem__, self.sample_columns.tolist()))
 
     @property
     def templates(self) -> tuple[Template, ...]:
@@ -125,16 +193,27 @@ class Gallery:
 def _check_meta(gallery: Gallery, config: PipelineConfig) -> None:
     if config.meta != gallery.meta:
         raise MetaMismatch(f"config meta {config.meta} != gallery meta {gallery.meta}")
+    if config.preprocess != gallery.preprocess:
+        raise MetaMismatch(f"config preprocessing {config.preprocess} != gallery "
+                           f"preprocessing {gallery.preprocess}")
 
 
 def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]],
            config: PipelineConfig) -> Gallery:
-    """Add `(sample_id, image)` pairs of one identity; `Gallery` rejects a key twice."""
+    """Add `(sample_id, image)` pairs of one identity.
+
+    The new keys are checked, names first and then against every key
+    already enrolled and each other, before any image is extracted.
+    """
     _check_meta(gallery, config)
+    names, columns = _merge_names(gallery.names, gallery.columns,
+                                  (identity,) * len(samples), "identity")
+    sample_names, sample_columns = _merge_names(gallery.sample_names, gallery.sample_columns,
+                                                [s for s, _ in samples], "sample_id")
+    _check_codes(names, columns, sample_names, sample_columns)
     rows = [extract_features(img, config).magnitudes for _, img in samples]
-    return Gallery._from_columns(gallery.meta, gallery.identities + (identity,) * len(rows),
-                                 gallery.sample_ids + tuple(s for s, _ in samples),
-                                 np.vstack([gallery.magnitudes, *rows]))
+    return Gallery._from_columns(gallery.meta, names, columns, sample_names, sample_columns,
+                                 np.vstack([gallery.magnitudes, *rows]), gallery.preprocess)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,7 +232,7 @@ class VerifyResult:
 
 
 def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) -> FourierDescriptor:
-    if not gallery.identities:
+    if not gallery.columns.size:
         raise EmptyGallery("gallery has no enrolled templates")
     _check_meta(gallery, config)
     return extract_features(probe, config)
@@ -430,21 +509,32 @@ def report_to_csv(report: EvalReport) -> str:
 # --- gallery and dataset files --------------------------------------------------
 
 def save_gallery(gallery: Gallery, root) -> None:
-    """Write the gallery as one packed file, <root>/MANIFEST.siggal.
+    """Write the gallery as one packed file, <root>/MANIFEST.siggal (SIGGAL v3).
 
-    Layout: a `SIGGAL v2 <family> <levels> <k> <count>` header line, then
-    `count` `<identity> <sample_id>` index lines in enrollment order, then
+    Layout: the header line `SIGGAL v3 <family> <levels> <k> <median_window>
+    <width> <height> <slant 0|1> <threshold or -> <count> <identities>
+    <identity bytes> <sample ids> <sample id bytes>`; the sorted identity
+    table and the sorted sample-id table, one name and a newline per entry;
+    zero bytes up to an 8-byte boundary; the identity codes and the sample-id
+    codes as little-endian int32, one per template in enrollment order; then
     the count x k magnitudes as little-endian float64.  The file is written
-    to MANIFEST.siggal.tmp and moved over the manifest with `os.replace`,
-    so a save that fails leaves the previous gallery as it was.
+    to MANIFEST.siggal.tmp and moved over the manifest with `os.replace`, so
+    a save that fails leaves the previous gallery as it was.
     """
-    meta = gallery.meta
+    meta, pre = gallery.meta, gallery.preprocess
     _check_savable(meta)
-    lines = [f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
-             f"{len(gallery.identities)}"]
-    # the gallery's names hold no space or newline to break the index
-    lines += [f"{i} {s}" for i, s in zip(gallery.identities, gallery.sample_ids)]
-    data = ("\n".join(lines) + "\n").encode("ascii") + gallery.magnitudes.astype("<f8").tobytes()
+    # the gallery's names hold no space or newline to break a table
+    tables = ["".join(f"{name}\n" for name in table).encode("ascii")
+              for table in (gallery.names, gallery.sample_names)]
+    threshold = "-" if pre.binarize_threshold is None else pre.binarize_threshold
+    head = (f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
+            f"{pre.median_window} {pre.target_size[0]} {pre.target_size[1]} "
+            f"{int(pre.slant_enabled)} {threshold} {len(gallery.columns)} "
+            f"{len(gallery.names)} {len(tables[0])} {len(gallery.sample_names)} "
+            f"{len(tables[1])}\n").encode("ascii") + b"".join(tables)
+    data = b"".join([head, bytes(-len(head) % 8), gallery.columns.astype("<i4").tobytes(),
+                     gallery.sample_columns.astype("<i4").tobytes(),
+                     gallery.magnitudes.astype("<f8").tobytes()])
     root = Path(root)
     manifest = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")
@@ -460,11 +550,13 @@ def save_gallery(gallery: Gallery, root) -> None:
 
 
 def load_gallery(root) -> Gallery:
-    """Read a gallery written by `save_gallery`, or a read-only v1 gallery.
+    """Read a gallery written by `save_gallery`, or a read-only v2 or v1 gallery.
 
-    A v2 manifest holds every template; `*.sigfd` files beside it are
-    ignored.  The gallery's magnitude matrix is the file's payload, read
-    in place.
+    A v3 manifest is read in place: the code columns and the magnitude
+    matrix are views of the file's bytes, and the only Python work is per
+    distinct name.  v2 and v1 galleries hold no preprocessing and read as
+    the default one.  A manifest holds every template; `*.sigfd` files
+    beside a v2 or v3 manifest are ignored.
     """
     root = Path(root)
     manifest = root / MANIFEST_NAME
@@ -472,38 +564,81 @@ def load_gallery(root) -> Gallery:
         data = manifest.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {manifest}: {exc}") from exc
-    head, _, rest = data.partition(b"\n")
+    end = data.find(b"\n")
+    end, body = (len(data), len(data)) if end < 0 else (end, end + 1)
     try:
-        header = head.decode("ascii")
+        header = data[:end].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{manifest}: bad gallery header: {exc}") from exc
     fields = header.split()
-    v1 = fields[:2] == [_GAL_MAGIC, "v1"] and len(fields) == 5 and not rest.strip()
-    if not v1 and (len(fields) != 6 or fields[:2] != [_GAL_MAGIC, _GAL_VERSION]):
+    version = fields[1] if fields[:1] == [_GAL_MAGIC] and len(fields) > 1 else None
+    n_fields = {"v1": 5, "v2": 6, _GAL_VERSION: 15}
+    if len(fields) != n_fields.get(version) or (version == "v1" and data[body:].strip()):
         raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
     try:
         meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
+        if version == "v1":
+            return _load_v1(manifest, meta)
+        if version == "v2":
+            return _load_v2(meta, fields[5], data[body:])
+        return _load_v3(meta, fields[5:], data, body)
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
-    if v1:
-        return _load_v1(manifest, meta)
+
+
+def _load_v3(meta: DescriptorMeta, fields: list[str], data: bytes, at: int) -> Gallery:
+    """The v3 layout past its first five header fields; `at` is where the tables start."""
+    median, width, height, slant, threshold, *sizes = fields
+    if slant not in ("0", "1") or not all(size.isdigit() for size in sizes):
+        raise ValueError(f"bad slant flag or sizes in {' '.join(fields)!r}")
+    try:
+        pre = PreprocessConfig(int(median), (int(width), int(height)), slant == "1",
+                               None if threshold == "-" else int(threshold))
+    except SigfdError as exc:
+        raise ValueError(f"bad preprocessing: {exc}") from exc
+    count, n_names, name_bytes, n_samples, sample_bytes = map(int, sizes)
+    codes_at = at + name_bytes + sample_bytes
+    codes_at += -codes_at % 8
+    payload_at = codes_at + 8 * count
+    if len(data) != payload_at + 8 * count * meta.k:
+        raise ValueError(f"{count} templates of {meta.k} magnitudes with these tables need "
+                         f"{payload_at + 8 * count * meta.k} bytes, got {len(data)}")
+    if any(data[at + name_bytes + sample_bytes:codes_at]):
+        raise ValueError("the padding before the codes must be zero bytes")
+    names = _read_table(data[at:at + name_bytes], n_names, "identity")
+    sample_names = _read_table(data[at + name_bytes:at + name_bytes + sample_bytes],
+                               n_samples, "sample_id")
+    columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at)
+    sample_columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at + 4 * count)
+    mags = np.frombuffer(data, dtype="<f8", count=count * meta.k, offset=payload_at)
+    return Gallery._from_columns(meta, names, columns, sample_names, sample_columns,
+                                 mags.reshape(count, meta.k), pre)
+
+
+def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:
+    names = raw.decode("ascii").split("\n")
+    if names.pop() or len(names) != n:
+        raise ValueError(f"the {what} table needs {n} newline-terminated names "
+                         f"in {len(raw)} bytes")
+    return tuple(names)
+
+
+def _load_v2(meta: DescriptorMeta, count: str, rest: bytes) -> Gallery:
+    """The v2 layout: `count` `<identity> <sample_id>` index lines, then the payload."""
     # every index line takes at least one byte, which bounds count before
     # it sizes the split and the payload
-    if not fields[5].isdigit() or int(fields[5]) > len(rest):
-        raise FormatError(f"{manifest}: bad template count {fields[5]!r}")
-    count = int(fields[5])
+    if not count.isdigit() or int(count) > len(rest):
+        raise ValueError(f"bad template count {count!r}")
+    count = int(count)
     index = rest.split(b"\n", count)
     payload = index.pop()
     if len(index) != count or len(payload) != 8 * count * meta.k:
-        raise FormatError(f"{manifest}: {count} templates need {count} index lines and "
-                          f"{8 * count * meta.k} payload bytes")
-    try:
-        keys = [line.decode("ascii").partition(" ")[::2] for line in index]
-        return Gallery._from_columns(meta, tuple(identity for identity, _ in keys),
-                                     tuple(sample_id for _, sample_id in keys),
-                                     np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
-    except ValueError as exc:
-        raise FormatError(f"{manifest}: {exc}") from exc
+        raise ValueError(f"{count} templates need {count} index lines and "
+                         f"{8 * count * meta.k} payload bytes")
+    keys = [line.decode("ascii").partition(" ")[::2] for line in index]
+    return Gallery._from_keys(meta, tuple(identity for identity, _ in keys),
+                              tuple(sample_id for _, sample_id in keys),
+                              np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
 
 
 def _load_v1(manifest: Path, meta: DescriptorMeta) -> Gallery:
@@ -511,10 +646,7 @@ def _load_v1(manifest: Path, meta: DescriptorMeta) -> Gallery:
     templates = tuple(Template(ident_dir.name, path.stem, load_descriptor(path))
                       for ident_dir in sorted(p for p in manifest.parent.iterdir() if p.is_dir())
                       for path in sorted(ident_dir.glob("*.sigfd")))
-    try:
-        return Gallery(meta, templates)
-    except ValueError as exc:
-        raise FormatError(f"{manifest}: {exc}") from exc
+    return Gallery(meta, templates)
 
 
 def save_dataset(dataset: dict[str, list[GrayImage]], root) -> int:

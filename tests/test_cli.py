@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -11,8 +12,8 @@ from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
 from sigfd.descriptor import DescriptorMeta, PipelineConfig, extract_features
 from sigfd.imaging import GrayImage, PreprocessConfig, load_image, save_image
 from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
-from sigfd.recognition import (SynthSpec, Template, generate_synthetic,
-                               load_gallery, save_dataset)
+from sigfd.recognition import (Gallery, SynthSpec, Template, generate_synthetic,
+                               identify, load_gallery, save_dataset, save_gallery)
 from sigfd.wavelet import WaveletFamily
 
 
@@ -219,7 +220,7 @@ def test_enroll_meta_flags_must_match_existing_v1_gallery(tmp_path, dataset_dir,
     _refuse_meta_changes(gal, str(dataset_dir / "id000" / "s002.pgm"), capsys)
 
 
-def test_enroll_migrates_a_v1_gallery_to_v2(tmp_path, dataset_dir, gallery_dir,
+def test_enroll_migrates_a_v1_gallery_to_v3(tmp_path, dataset_dir, gallery_dir,
                                             write_v1_gallery, capsys):
     old = load_gallery(gallery_dir)
     gal = write_v1_gallery(old, tmp_path / "gal")
@@ -233,7 +234,8 @@ def test_enroll_migrates_a_v1_gallery_to_v2(tmp_path, dataset_dir, gallery_dir,
     new = dataset_dir / "id002" / "s003.pgm"
     assert run(["enroll", str(gal), "idnew", str(new)]) == 0
     assert capsys.readouterr().out == "enrolled 1 sample(s) for idnew\n"
-    assert (gal / "MANIFEST.siggal").read_bytes().startswith(b"SIGGAL v2 sym8 3 64 7\n")
+    assert (gal / "MANIFEST.siggal").read_bytes().startswith(
+        b"SIGGAL v3 sym8 3 64 3 256 256 1 - 7 4 24 3 15\nid000\nid001\nid002\nidnew\n")
     migrated = load_gallery(gal)
     want = old.templates + (Template("idnew", "s003", extract_features(load_image(new))),)
     assert _keys(migrated) == [(t.identity, t.sample_id) for t in want]
@@ -247,24 +249,43 @@ def test_enroll_migrates_a_v1_gallery_to_v2(tmp_path, dataset_dir, gallery_dir,
     assert capsys.readouterr().out == v2_answer
 
 
+def _with_v3_header(data: bytes, old: bytes, new: bytes) -> bytes:
+    """The v3 manifest `data` with `old` replaced by `new` in its header line.
+
+    The sections after the header move with it, so the zero padding before
+    the codes is recomputed to keep them on the 8-byte grid.
+    """
+    start = data.index(b"\n") + 1
+    fields = data[:start].split()
+    tables_end = start + int(fields[12]) + int(fields[14])
+    head = data[:start].replace(old, new, 1) + data[start:tables_end]
+    return head + bytes(-len(head) % 8) + data[tables_end + -tables_end % 8:]
+
+
 @pytest.mark.parametrize("levels", [str(2 ** 63), "99999999999999999999"])
-def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, capsys, levels):
+def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, write_v2_gallery,
+                                    capsys, levels):
     probe = str(dataset_dir / "id000" / "s002.pgm")
     capsys.readouterr()
     assert run(["enroll", str(tmp_path / "new"), "a", "--levels", levels, probe]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "BadLevels" in captured.err
     assert not (tmp_path / "new").exists()
-    # the same value in a stored gallery's header
-    gal = tmp_path / "gal"
-    gal.mkdir()
+    # the same value in a stored gallery's header, v3 and v2
     good = (gallery_dir / "MANIFEST.siggal").read_bytes()
-    (gal / "MANIFEST.siggal").write_bytes(good.replace(b" sym8 3 ", f" sym8 {levels} ".encode(), 1))
-    for argv in (["identify", str(gal), probe], ["verify", str(gal), "id000", "--threshold",
-                                                 "1", probe]):
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "BadLevels" in captured.err
+    v2 = (write_v2_gallery(load_gallery(gallery_dir), tmp_path / "v2") / "MANIFEST.siggal")
+    huge = f" sym8 {levels} ".encode()
+    for name, data in (("v3", _with_v3_header(good, b" sym8 3 ", huge)),
+                       ("v2", v2.read_bytes().replace(b" sym8 3 ", huge, 1))):
+        gal = tmp_path / name
+        gal.mkdir(exist_ok=True)
+        (gal / "MANIFEST.siggal").write_bytes(data)
+        assert load_gallery(gal).meta.levels == int(levels)
+        for argv in (["identify", str(gal), probe], ["verify", str(gal), "id000", "--threshold",
+                                                     "1", probe]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "BadLevels" in captured.err
 
 
 @pytest.mark.parametrize("flag,value,error", [
@@ -394,6 +415,140 @@ def test_python_m_sigfd_runs_the_cli(capsys, monkeypatch):
     usage = module_run("frobnicate")
     assert usage.returncode == 1
     assert usage.stdout == "" and "invalid choice: 'frobnicate'" in usage.stderr
+
+
+def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, capsys):
+    gal = tmp_path / "gal"
+    for ident in ("id000", "id001", "id002"):
+        assert run(["enroll", str(gal), ident, "--no-slant",
+                    str(dataset_dir / ident / "s000.pgm")]) == 0
+    no_slant = PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False))
+    assert load_gallery(gal).preprocess == no_slant.preprocess
+    assert (gal / "MANIFEST.siggal").read_bytes().startswith(b"SIGGAL v3 sym8 3 64 3 256 256 0 - ")
+    probe = str(dataset_dir / "id001" / "s003.pgm")
+    capsys.readouterr()
+    # flags left out come from the gallery, so these two answer alike
+    assert run(["identify", str(gal), probe]) == 0
+    inherited = capsys.readouterr().out
+    assert run(["identify", str(gal), "--no-slant", probe]) == 0
+    assert capsys.readouterr().out == inherited
+    g = load_gallery(gal)
+    manhattan = DistanceMeasure("manhattan")
+    result = identify(g, load_image(probe), manhattan, no_slant)
+    assert inherited == f"{result.identity} {result.distance:.6f}\n"
+    # before the preprocessing was stored, a probe without flags was deslanted
+    unstored = Gallery._from_columns(g.meta, g.names, g.columns, g.sample_names,
+                                     g.sample_columns, g.magnitudes)
+    assert identify(unstored, load_image(probe), manhattan, PipelineConfig()).distance \
+        != result.distance
+    assert run(["verify", str(gal), "id001", "--threshold", "9", probe]) == 0
+    assert capsys.readouterr().out == f"genuine {result.distance:.6f}\n"
+    # an explicit flag that disagrees with the gallery exits 2 and writes nothing
+    new = str(dataset_dir / "id002" / "s001.pgm")
+    before = _tree_bytes(gal)
+    for argv in (["identify", str(gal), "--median-window", "5", probe],
+                 ["identify", str(gal), "--target-size", "128", "128", probe],
+                 ["verify", str(gal), "id001", "--threshold", "9", "--binarize-threshold", "90",
+                  probe],
+                 ["enroll", str(gal), "id002", "--median-window", "5", new]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MetaMismatch" in captured.err
+    assert _tree_bytes(gal) == before
+    # enroll without flags takes the stored preprocessing too
+    assert run(["enroll", str(gal), "id002", new]) == 0
+    g = load_gallery(gal)
+    assert g.preprocess == no_slant.preprocess
+    assert g.magnitudes[-1].tobytes() == \
+        extract_features(load_image(new), no_slant).magnitudes.tobytes()
+
+
+@pytest.fixture(scope="module")
+def readme_dataset(tmp_path_factory):
+    """What `sigfd synth data --identities 3 --samples 4 --seed 1` writes."""
+    root = tmp_path_factory.mktemp("readme")
+    save_dataset(generate_synthetic(SynthSpec(n_identities=3, samples_per_identity=4, seed=1)),
+                 root)
+    return root
+
+
+V2_GALLERY = Path(__file__).resolve().parent / "data" / "v2-gallery"
+
+# Outputs on tests/data/v2-gallery, captured with the CLI that wrote that file:
+# id000, id001 and id002 of `readme_dataset`, each enrolled from s000 and s001.
+_V2_ANSWERS = [
+    (["identify", "{gal}", "{data}/id000/s002.pgm"], "id000 1.108460\n"),
+    (["identify", "{gal}", "{data}/id000/s003.pgm"], "id000 1.334914\n"),
+    (["identify", "{gal}", "{data}/id001/s002.pgm"], "id001 1.604580\n"),
+    (["identify", "{gal}", "{data}/id001/s003.pgm"], "id001 1.868748\n"),
+    (["identify", "{gal}", "{data}/id002/s002.pgm"], "id002 0.843576\n"),
+    (["identify", "{gal}", "{data}/id002/s003.pgm"], "id002 0.439535\n"),
+    (["identify", "{gal}", "--measure", "euclidean", "{data}/id002/s002.pgm"], "id002 0.145984\n"),
+    (["verify", "{gal}", "id001", "--threshold", "2.0", "{data}/id001/s003.pgm"],
+     "genuine 1.868748\n"),
+]
+
+
+def test_a_v2_gallery_file_reads_and_answers_as_before(tmp_path, readme_dataset, capsys):
+    data = (V2_GALLERY / "MANIFEST.siggal").read_bytes()
+    head, _, rest = data.partition(b"\n")
+    assert head == b"SIGGAL v2 sym8 3 64 6"
+    index, payload = rest[:66].decode().splitlines(), rest[66:]
+    g = load_gallery(V2_GALLERY)
+    assert (g.meta, g.preprocess) == (PipelineConfig().meta, PreprocessConfig())
+    assert [f"{i} {s}" for i, s in zip(g.identities, g.sample_ids)] == index
+    assert g.magnitudes.tobytes() == payload
+    v3 = tmp_path / "v3"
+    save_gallery(g, v3)
+    capsys.readouterr()
+    for gal in (V2_GALLERY, v3):
+        for argv, out in _V2_ANSWERS:
+            assert run([a.format(gal=gal, data=readme_dataset) for a in argv]) == 0
+            assert capsys.readouterr().out == out
+    # a v2 gallery reads as the default preprocessing, so another one is a mismatch
+    probe = str(readme_dataset / "id001" / "s003.pgm")
+    assert run(["identify", str(V2_GALLERY), "--no-slant", probe]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MetaMismatch" in captured.err
+
+
+def test_enroll_checks_names_and_duplicates_before_extracting(tmp_path, dataset_dir,
+                                                              gallery_dir, capsys):
+    gal = tmp_path / "gal"
+    shutil.copytree(gallery_dir, gal)
+    before = _tree_bytes(gal)
+    blank = tmp_path / "blank.pgm"  # its extraction would fail
+    save_image(GrayImage(np.full((64, 64), 255, dtype=np.uint8)), blank)
+    (tmp_path / "bad").mkdir()
+    spaced = tmp_path / "bad" / "s 1.pgm"
+    shutil.copy(dataset_dir / "id000" / "s002.pgm", spaced)
+    enrolled = str(dataset_dir / "id000" / "s000.pgm")
+    capsys.readouterr()
+    for argv, code, error in (
+            (["enroll", str(gal), "id000", enrolled, str(blank)], 2,
+             "DuplicateSample: ('id000', 's000') enrolled twice"),
+            (["enroll", str(gal), "idx", str(blank), enrolled, enrolled], 2,
+             "DuplicateSample: ('idx', 's000') enrolled twice"),
+            (["enroll", str(gal), "idx", str(spaced), str(blank)], 1, "got 's 1'")):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and error in captured.err
+    assert _tree_bytes(gal) == before
+
+
+_CLI_TEXT = json.loads((Path(__file__).resolve().parent / "data" / "cli-text.json")
+                       .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", list(_CLI_TEXT))
+def test_help_and_usage_text_is_pinned(case, capsys, monkeypatch):
+    """Help and usage output, byte for byte as captured from the CLI that built
+    every subcommand's arguments up front (argparse of Python 3.11, 80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _CLI_TEXT[case]
+    code = run(want["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 def test_blank_probe_is_a_data_error(tmp_path, gallery_dir):

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import copy
 import math
 import os
@@ -80,6 +81,21 @@ def test_enroll_rejects_duplicates(tiny_dataset):
     assert g2.names == ("a", "b")
 
 
+def test_enroll_checks_keys_before_extracting_any_image(tiny_dataset, tiny_gallery):
+    img = tiny_dataset["id000"][0]
+    batches = (("id000", [("s0", img)], DuplicateSample),           # already in the gallery
+               ("new", [("s9", img), ("s9", img)], DuplicateSample),  # twice within the batch
+               ("new", [("s9", img), ("s 1", img)], ValueError))      # a bad name after a good one
+    with mock.patch.object(recognition, "extract_features",
+                           wraps=recognition.extract_features) as extract:
+        for identity, samples, error in batches:
+            with pytest.raises(error):
+                enroll(tiny_gallery, identity, samples, CFG)
+        assert extract.call_count == 0
+        enroll(tiny_gallery, "new", [("s9", img)], CFG)
+        assert extract.call_count == 1
+
+
 def test_enroll_rejects_meta_mismatch(tiny_dataset):
     other = PipelineConfig(levels=2)
     with pytest.raises(MetaMismatch):
@@ -120,22 +136,36 @@ def test_gallery_constructor_enforces_invariants(tiny_gallery):
 
 def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
     g = tiny_gallery
-    columns = (g.meta, g.identities, g.sample_ids, g.magnitudes)
-    assert Gallery._from_columns(*columns).names == g.names
+    keys = (g.meta, g.identities, g.sample_ids, g.magnitudes)
+    assert Gallery._from_keys(*keys).names == g.names
+    columns = (g.meta, g.names, g.columns, g.sample_names, g.sample_columns, g.magnitudes)
+    _assert_same_gallery(Gallery._from_columns(*columns), g)
     with pytest.raises(DuplicateSample):
-        Gallery._from_columns(g.meta, g.identities[:2] + ("id000",),
-                              g.sample_ids[:2] + ("s0",), g.magnitudes[:3])
+        Gallery._from_keys(g.meta, g.identities[:2] + ("id000",),
+                           g.sample_ids[:2] + ("s0",), g.magnitudes[:3])
+    with pytest.raises(DuplicateSample, match="'id001', 's0'"):
+        Gallery._from_columns(g.meta, g.names, [0, 1, 2, 0, 1, 2], g.sample_names,
+                              [0, 0, 0, 1, 0, 1], g.magnitudes)
     for value in _OUT_OF_RANGE:
         mags = g.magnitudes.copy()
         mags[-1, 0] = value
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            Gallery._from_columns(g.meta, g.identities, g.sample_ids, mags)
+            Gallery._from_keys(g.meta, g.identities, g.sample_ids, mags)
     wide = np.hstack([g.magnitudes, g.magnitudes[:, :1]])
     for bad in ((g.meta, g.identities, g.sample_ids, wide),
                 (g.meta, g.identities, g.sample_ids[:-1], g.magnitudes),
                 (g.meta, g.identities, g.sample_ids, g.magnitudes[:-1])):
         with pytest.raises(ValueError, match="need"):
-            Gallery._from_columns(*bad)
+            Gallery._from_keys(*bad)
+    # tables are sorted and used, and codes name table entries
+    codes = g.columns.tolist()
+    for bad, match in (((g.names[::-1], codes), "strictly increasing"),
+                       ((g.names[:1] + g.names, [c + 1 for c in codes]), "strictly increasing"),
+                       ((g.names + ("zz",), codes), "no template has"),
+                       ((g.names, codes[:-1] + [3]), r"codes must lie in \[0, 3\)"),
+                       ((g.names, codes[:-1] + [-1]), r"codes must lie in \[0, 3\)")):
+        with pytest.raises(ValueError, match=match):
+            Gallery._from_columns(g.meta, *bad, g.sample_names, g.sample_columns, g.magnitudes)
     # enroll is the column constructor's public caller; its meta must match
     with pytest.raises(MetaMismatch):
         enroll(g, "new", [("s0", tiny_dataset["id000"][0])],
@@ -143,22 +173,25 @@ def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
 
 
 def test_gallery_is_immutable(tiny_gallery):
-    for field in ("meta", "identities", "sample_ids", "magnitudes", "names", "columns",
-                  "templates", "extra"):
+    for field in ("meta", "preprocess", "names", "columns", "sample_names", "sample_columns",
+                  "magnitudes", "identities", "sample_ids", "templates", "extra"):
         with pytest.raises(AttributeError):
             setattr(tiny_gallery, field, None)
     assert tiny_gallery.magnitudes.flags.c_contiguous
     assert tiny_gallery.magnitudes.dtype == np.float64
     with pytest.raises(ValueError):
         tiny_gallery.magnitudes[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        tiny_gallery.columns[0] = 1
+    for codes in (tiny_gallery.columns, tiny_gallery.sample_columns):
+        with pytest.raises(ValueError):
+            codes[0] = 1
     # copies and pickles keep the columns and their read-only matrix
     for copied in (copy.copy(tiny_gallery), copy.deepcopy(tiny_gallery),
                    pickle.loads(pickle.dumps(tiny_gallery))):
         _assert_same_gallery(copied, tiny_gallery)
         assert copied.names == tiny_gallery.names
         assert copied.columns.tolist() == tiny_gallery.columns.tolist()
+        assert copied.sample_names == tiny_gallery.sample_names
+        assert copied.sample_columns.tolist() == tiny_gallery.sample_columns.tolist()
         assert not copied.magnitudes.flags.writeable
 
 
@@ -207,6 +240,26 @@ def test_identify_meta_mismatch(tiny_dataset, tiny_gallery):
                  PipelineConfig(levels=2))
 
 
+def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_dataset):
+    no_slant = PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False))
+    img = tiny_dataset["id000"][0]
+    gallery = enroll(Gallery(CFG.meta, preprocess=no_slant.preprocess), "a", [("s0", img)],
+                     no_slant)
+    assert gallery.preprocess == no_slant.preprocess
+    assert gallery.magnitudes.tobytes() == extract_features(img, no_slant).magnitudes.tobytes()
+    assert identify(gallery, img, MANHATTAN, no_slant).distance == 0.0
+    for config in (CFG, PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False,
+                                                                   median_window=5))):
+        with pytest.raises(MetaMismatch, match="preprocessing"):
+            identify(gallery, img, MANHATTAN, config)
+        with pytest.raises(MetaMismatch, match="preprocessing"):
+            verify(gallery, "a", img, MANHATTAN, 1.0, config)
+        with pytest.raises(MetaMismatch, match="preprocessing"):
+            enroll(gallery, "b", [("s0", img)], config)
+    # a gallery built without naming its preprocessing holds the default one
+    assert Gallery(CFG.meta).preprocess == PreprocessConfig()
+
+
 def test_verify_accepts_and_rejects(tiny_dataset, tiny_gallery):
     probe = tiny_dataset["id002"][2]
     own = verify(tiny_gallery, "id002", probe, MANHATTAN, 5.0, CFG)
@@ -238,7 +291,7 @@ _PROBE_MAGS = extract_features(_PROBE, SMALL).magnitudes
 def _gallery(rows, owners) -> Gallery:
     return Gallery(SMALL.meta, tuple(
         Template(owner, f"s{i}", FourierDescriptor(row, SMALL.meta))
-        for i, (row, owner) in enumerate(zip(rows, owners))))
+        for i, (row, owner) in enumerate(zip(rows, owners))), SMALL.preprocess)
 
 
 def _brute_force_ranking(gallery, measure):
@@ -266,7 +319,7 @@ def test_identify_ranking_ignores_template_order_and_chunking(parts, name, chunk
     rows, owners, perm = parts
     measure = DistanceMeasure(name)
     forward = _gallery(rows, owners)
-    shuffled = Gallery(SMALL.meta, tuple(forward.templates[i] for i in perm))
+    shuffled = Gallery(SMALL.meta, tuple(forward.templates[i] for i in perm), SMALL.preprocess)
     expected = _brute_force_ranking(forward, measure)
     with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
         assert identify(shuffled, _PROBE, measure, SMALL).ranking == expected
@@ -410,8 +463,9 @@ def test_report_validates_shape_and_range():
 # --- persistence ------------------------------------------------------------------
 
 def _assert_same_gallery(got, want):
-    """Same meta, same keys in the same order, bit-identical magnitudes."""
+    """Same meta and preprocessing, same keys in the same order, bit-identical magnitudes."""
     assert got.meta == want.meta
+    assert got.preprocess == want.preprocess
     assert [(t.identity, t.sample_id) for t in got.templates] == \
         [(t.identity, t.sample_id) for t in want.templates]
     assert [t.descriptor.magnitudes.tobytes() for t in got.templates] == \
@@ -422,10 +476,13 @@ def test_gallery_round_trip(tmp_path, tiny_gallery):
     root = tmp_path / "gal"
     save_gallery(tiny_gallery, root)
     assert [p.name for p in root.iterdir()] == ["MANIFEST.siggal"]
-    head = "SIGGAL v2 sym8 3 64 6\n" + "".join(
-        f"{t.identity} {t.sample_id}\n" for t in tiny_gallery.templates)
+    # 45 bytes of header, 18 + 6 of tables, 3 zero bytes to the 8-byte boundary at 72
+    head = ("SIGGAL v3 sym8 3 64 3 256 256 1 - 6 3 18 2 6\n"
+            "id000\nid001\nid002\ns0\ns1\n").encode() + bytes(3)
+    codes = np.array([0, 0, 1, 1, 2, 2, 0, 1, 0, 1, 0, 1], dtype="<i4").tobytes()
     data = (root / "MANIFEST.siggal").read_bytes()
-    assert data == head.encode() + np.array(
+    assert len(head) == 72
+    assert data == head + codes + np.array(
         [t.descriptor.magnitudes for t in tiny_gallery.templates], dtype="<f8").tobytes()
     back = load_gallery(root)
     _assert_same_gallery(back, tiny_gallery)
@@ -462,8 +519,9 @@ def test_record_and_saved_galleries_hold_the_same_columns(tmp_path_factory, keys
 
 
 def test_v2_load_and_identify_build_no_per_template_objects(tmp_path, tiny_dataset,
-                                                            tiny_gallery):
-    save_gallery(tiny_gallery, tmp_path / "gal")
+                                                            tiny_gallery, write_v2_gallery):
+    v2 = write_v2_gallery(tiny_gallery, tmp_path / "v2")
+    save_gallery(tiny_gallery, tmp_path / "v3")
     probe = tiny_dataset["id001"][3]
     built = collections.Counter()
 
@@ -475,17 +533,28 @@ def test_v2_load_and_identify_build_no_per_template_objects(tmp_path, tiny_datas
             init(self, *args, **kwargs)
         return mock.patch.object(cls, "__init__", counting_init)
 
-    with counted(FourierDescriptor), counted(Template):
+    def spied(name):
+        view = getattr(Gallery, name)
+        return mock.patch.object(Gallery, name,
+                                 property(lambda self: built.update([name]) or view.fget(self)))
+
+    with contextlib.ExitStack() as stack:
+        for patch in (counted(FourierDescriptor), counted(Template), spied("identities"),
+                      spied("sample_ids"), spied("templates")):
+            stack.enter_context(patch)
         extract_features(probe, CFG)
         per_probe = dict(built)
-        built.clear()
-        result = identify(load_gallery(tmp_path / "gal"), probe, MANHATTAN, CFG)
-        assert dict(built) == per_probe  # the probe's own descriptor, nothing per template
+        for root in (v2, tmp_path / "v3"):
+            built.clear()
+            result = identify(load_gallery(root), probe, MANHATTAN, CFG)
+            # the probe's own descriptor, nothing per template and no per-template view
+            assert dict(built) == per_probe
+            assert result.identity == "id001"
         built.clear()
         assert len(tiny_gallery.templates) == 6  # the counters do see the records view
-        assert built == {"FourierDescriptor": 6, "Template": 6}
+        assert built == {"FourierDescriptor": 6, "Template": 6, "templates": 1,
+                         "identities": 1, "sample_ids": 1}
     assert per_probe == {"FourierDescriptor": 1}
-    assert result.identity == "id001"
 
 
 def test_v1_gallery_loads_bit_identically(tmp_path, tiny_gallery, write_v1_gallery):
@@ -572,20 +641,23 @@ def test_gallery_owns_its_names(tiny_gallery):
                 Gallery(tiny_gallery.meta, (tiny_gallery.templates[0], template))
     # a non-string next to strings is a ValueError, not a failed sort
     with pytest.raises(ValueError, match="identity"):
-        Gallery._from_columns(_FUZZ_META, ("ann", 5), ("s0", "s0"), np.ones((2, 4)))
+        Gallery._from_keys(_FUZZ_META, ("ann", 5), ("s0", "s0"), np.ones((2, 4)))
     # the first bad name in enrollment order is the one reported
     with pytest.raises(ValueError, match="'-b'"):
-        Gallery._from_columns(_FUZZ_META, ("a", "-b", "a", ".c"), ("s0", "s1", "s2", "s3"),
-                              np.ones((4, 4)))
+        Gallery._from_keys(_FUZZ_META, ("a", "-b", "a", ".c"), ("s0", "s1", "s2", "s3"),
+                           np.ones((4, 4)))
     # names are checked before duplicates
     with pytest.raises(ValueError, match="sample_id"):
-        Gallery._from_columns(_FUZZ_META, ("a", "a", "a"), ("s0", "s0", "s 1"), np.ones((3, 4)))
+        Gallery._from_keys(_FUZZ_META, ("a", "a", "a"), ("s0", "s0", "s 1"), np.ones((3, 4)))
+    # the column constructor checks its tables' names too
+    with pytest.raises(ValueError, match="sample_id"):
+        Gallery._from_columns(_FUZZ_META, ("a",), [0], ("s 1",), [0], np.ones((1, 4)))
 
 
 def test_load_and_save_check_each_distinct_name_once(tmp_path):
     identities = tuple(f"id{i % 100:03d}" for i in range(1000))
     sample_ids = tuple(f"s{i // 100}" for i in range(1000))
-    gallery = Gallery._from_columns(_FUZZ_META, identities, sample_ids, np.ones((1000, 4)))
+    gallery = Gallery._from_keys(_FUZZ_META, identities, sample_ids, np.ones((1000, 4)))
     with mock.patch.object(recognition, "_check_name",
                            wraps=recognition._check_name) as check:
         save_gallery(gallery, tmp_path / "gal")
@@ -597,9 +669,9 @@ def test_load_and_save_check_each_distinct_name_once(tmp_path):
     assert back.identities == identities and back.sample_ids == sample_ids
 
 
-def test_gallery_load_rejects_bad_names_in_the_index(tmp_path, tiny_gallery):
-    root = tmp_path / "gal"
-    save_gallery(tiny_gallery, root)
+def test_gallery_load_rejects_bad_names_in_the_index(tmp_path, tiny_gallery,
+                                                     write_v2_gallery):
+    root = write_v2_gallery(tiny_gallery, tmp_path / "gal")
     manifest = root / "MANIFEST.siggal"
     good = manifest.read_bytes()
     lines = [f"id000 {bad}" for bad in _BAD_NAMES if "\n" not in bad]
@@ -639,13 +711,18 @@ def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_ga
 _FUZZ_META = DescriptorMeta(WaveletFamily.HAAR, 2, 4)
 
 
-@pytest.fixture(scope="module")
-def fuzz_manifest(tmp_path_factory):
+def _fuzz_gallery() -> Gallery:
     rng = np.random.default_rng(5)
     templates = tuple(Template(identity, sample, FourierDescriptor(rng.random(4), _FUZZ_META))
                       for identity, sample in (("ann", "s0"), ("ann", "s1"), ("bo", "s0")))
-    root = tmp_path_factory.mktemp("fuzz")
-    save_gallery(Gallery(_FUZZ_META, templates), root)
+    # a fixed threshold lengthens the v3 header, so its tables end off the 8-byte grid
+    return Gallery(_FUZZ_META, templates, PreprocessConfig(binarize_threshold=100))
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifest(tmp_path_factory, write_v2_gallery):
+    """The fuzz gallery in the v2 layout, which is still read."""
+    root = write_v2_gallery(_fuzz_gallery(), tmp_path_factory.mktemp("fuzz"))
     return root, (root / "MANIFEST.siggal").read_bytes()
 
 
@@ -711,6 +788,144 @@ def test_payload_outside_the_magnitude_range_is_a_format_error(fuzz_manifest, va
     for at in (len(good) - 3 * 4 * 8, len(good) - 8):
         with pytest.raises(FormatError):
             _load_manifest(root, good[:at] + bad + good[at + 8:])
+
+
+# The fuzz gallery in the v3 layout, built section by section so that one
+# section can be replaced while the others stay as `save_gallery` writes them.
+_FUZZ_V3_HEAD = "SIGGAL v3 haar 2 4 3 256 256 1 100"
+
+
+def _v3(names=b"ann\nbo\n", samples=b"s0\ns1\n", columns=(0, 0, 1), sample_columns=(0, 1, 0),
+        payload=None, sizes=None, pad=None, head=_FUZZ_V3_HEAD) -> bytes:
+    """A v3 manifest; `sizes` default to the sections' own, `pad` to zeros up to 8 bytes."""
+    if sizes is None:
+        sizes = (len(columns), names.count(b"\n"), len(names), samples.count(b"\n"), len(samples))
+    if payload is None:
+        payload = _fuzz_gallery().magnitudes.astype("<f8").tobytes()
+    text = f"{head} {' '.join(map(str, sizes))}\n".encode() + names + samples
+    pad = bytes(-len(text) % 8) if pad is None else pad
+    return (text + pad + np.array(columns, dtype="<i4").tobytes()
+            + np.array(sample_columns, dtype="<i4").tobytes() + payload)
+
+
+@pytest.fixture(scope="module")
+def fuzz_v3(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz3")
+    save_gallery(_fuzz_gallery(), root)
+    return root, (root / "MANIFEST.siggal").read_bytes()
+
+
+def test_v3_manifest_sections(fuzz_v3):
+    root, good = fuzz_v3
+    assert good == _v3()
+    _assert_same_gallery(_load_manifest(root, good), _fuzz_gallery())
+    assert good[57:64] == b"\n" + bytes(6)  # the tables end at 58, six zero bytes follow
+
+
+def test_truncated_v3_manifest_is_a_format_error(fuzz_v3):
+    root, good = fuzz_v3
+    for end in range(len(good)):
+        with pytest.raises(FormatError):
+            _load_manifest(root, good[:end])
+
+
+@pytest.mark.parametrize("parts", [
+    dict(columns=(0, -1, 1)), dict(columns=(0, 0, 2)), dict(sample_columns=(0, 1, -7)),
+    dict(sample_columns=(0, 2, 0)), dict(columns=(0, 0, 2**31 - 1)),
+    dict(names=b"bo\nann\n"), dict(names=b"ann\nann\n"), dict(samples=b"s1\ns0\n"),
+    dict(names=b"ann\nbo\ncy\n"), dict(samples=b"s0\ns1\ns2\n"),
+    dict(names=b"ann\nb o\n"), dict(names=b"ann\n-bo\n"), dict(names=b"ann\nb\xf6\n"),
+    dict(names="ann\nb\u00f6\n".encode()), dict(names=b"\nann\nbo\n"),
+    dict(names=b"ann\nbo"), dict(samples=b"s0\ns1\r\n"),
+    dict(sizes=(4, 2, 7, 2, 6)), dict(sizes=(99, 2, 7, 2, 6)), dict(sizes=(10**30, 2, 7, 2, 6)),
+    dict(sizes=(3, 3, 7, 2, 6)), dict(sizes=(3, 2, 6, 2, 6)), dict(sizes=(3, 2, 7, 2, 7)),
+    dict(sizes=(3, 2, 7, 2, -6)), dict(sizes=(3, 2, 7, 2)), dict(sizes=(3, 2, 7, 2, 6, 0)),
+    dict(pad=bytes(5) + b"\1"), dict(pad=bytes(6 + 8)), dict(pad=b""),
+    dict(head="SIGGAL v3 haar 2 4 4 256 256 1 100"), dict(head="SIGGAL v3 haar 2 4 3 100 256 1 100"),
+    dict(head="SIGGAL v3 haar 2 4 3 256 256 2 100"), dict(head="SIGGAL v3 haar 2 4 3 256 256 1 256"),
+    dict(head="SIGGAL v3 haar 2 4 3 256 256 1 x"), dict(head="SIGGAL v3 haar 0 4 3 256 256 1 100"),
+    dict(head="SIGGAL v4 haar 2 4 3 256 256 1 100"),
+], ids=["code<0", "code=len", "sample code<0", "sample code=len", "code huge",
+        "unsorted", "repeated", "unsorted samples", "unused name", "unused sample",
+        "space in name", "leading dash", "latin-1 name", "utf-8 name", "empty name",
+        "unterminated table", "CR in table", "count+1", "count>file", "count huge",
+        "name count+1", "table bytes-1", "sample bytes+1", "negative size", "missing size",
+        "extra size", "nonzero pad", "pad too long", "no pad", "even window", "bad target",
+        "slant=2", "threshold=256", "threshold=x", "levels=0", "version 4"])
+def test_malformed_v3_manifest_is_a_format_error(fuzz_v3, parts):
+    root, _ = fuzz_v3
+    with pytest.raises(FormatError):
+        _load_manifest(root, _v3(**parts))
+
+
+@pytest.mark.parametrize("mangle", [lambda b: b + b"\0", lambda b: b[:-1],
+                                    lambda b: b + bytes(8), lambda b: b[:-8]],
+                         ids=["byte over", "byte short", "row over", "row short"])
+def test_v3_payload_one_off_is_a_format_error(fuzz_v3, mangle):
+    root, good = fuzz_v3
+    with pytest.raises(FormatError):
+        _load_manifest(root, mangle(good))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+def test_v3_payload_outside_the_magnitude_range_is_a_format_error(fuzz_v3, value):
+    root, good = fuzz_v3
+    bad = np.array(value, dtype="<f8").tobytes()
+    for at in (len(good) - 3 * 4 * 8, len(good) - 8):
+        with pytest.raises(FormatError):
+            _load_manifest(root, good[:at] + bad + good[at + 8:])
+
+
+def test_v3_repeated_key_is_a_duplicate(fuzz_v3):
+    root, _ = fuzz_v3
+    with pytest.raises(DuplicateSample, match="'ann', 's0'"):
+        _load_manifest(root, _v3(samples=b"s0\n", sample_columns=(0, 0, 0)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_flipped_v3_header_table_or_code_bytes_load_or_raise_a_data_error(fuzz_v3, data):
+    root, good = fuzz_v3
+    codes_end = len(good) - 3 * 4 * 8
+    flips = data.draw(st.lists(st.tuples(st.integers(0, codes_end - 1), st.integers(0, 255)),
+                               min_size=1, max_size=3))
+    mangled = bytearray(good)
+    for at, value in flips:
+        mangled[at] = value
+    try:
+        _load_manifest(root, bytes(mangled))
+    except (FormatError, DuplicateSample):
+        pass
+
+
+_PREPROCESS = st.builds(PreprocessConfig,
+                        median_window=st.sampled_from([1, 3, 5, 7]),
+                        target_size=st.tuples(st.sampled_from([16, 64, 256]),
+                                              st.sampled_from([32, 128])),
+                        slant_enabled=st.booleans(),
+                        binarize_threshold=st.none() | st.integers(0, 255))
+
+
+@settings(deadline=None, max_examples=60)
+@given(keys=_KEYS, pre=_PREPROCESS, data=st.data())
+def test_v3_round_trip_keeps_columns_names_magnitudes_and_preprocessing(tmp_path_factory,
+                                                                         keys, pre, data):
+    rows = data.draw(st.lists(st.lists(_MAGNITUDE, min_size=4, max_size=4),
+                              min_size=len(keys), max_size=len(keys)))
+    built = Gallery._from_keys(_FUZZ_META, tuple(i for i, _ in keys),
+                               tuple(s for _, s in keys),
+                               np.array(rows, dtype=np.float64).reshape(len(keys), 4), pre)
+    root = tmp_path_factory.mktemp("v3")
+    save_gallery(built, root)
+    back = load_gallery(root)
+    assert (back.meta, back.preprocess) == (_FUZZ_META, pre)
+    assert (back.names, back.sample_names) == (built.names, built.sample_names)
+    assert back.columns.tobytes() == built.columns.tobytes()
+    assert back.sample_columns.tobytes() == built.sample_columns.tobytes()
+    assert back.magnitudes.tobytes() == built.magnitudes.tobytes()
+    assert (back.identities, back.sample_ids) == (built.identities, built.sample_ids)
+    assert [(back.names[c], back.sample_names[d])
+            for c, d in zip(back.columns, back.sample_columns)] == keys
 
 
 def test_dataset_round_trip(tmp_path, tiny_dataset):
