@@ -106,12 +106,13 @@ def _family_list(text: str) -> list[WaveletFamily]:
     return [WaveletFamily.parse(part) for part in items]
 
 
-def _add_preprocess_flags(sp) -> None:
+def _add_preprocess_flags(sp, gallery: bool = True) -> None:
     # None marks a flag not given, which a stored gallery's value then fills
+    default = "default: the gallery's, else " if gallery else "default "
     sp.add_argument("--median-window", type=_odd_int, default=None, metavar="N",
-                    help="median filter window, odd (default 3)")
+                    help=f"median filter window, odd ({default}3)")
     sp.add_argument("--target-size", type=_pow2_int, nargs=2, default=None,
-                    metavar=("W", "H"), help="output geometry, powers of two (default 256 256)")
+                    metavar=("W", "H"), help=f"output geometry, powers of two ({default}256 256)")
     sp.add_argument("--no-slant", action="store_true", default=None,
                     help="skip slant normalization")
     sp.add_argument("--binarize-threshold", type=_byte_int, default=None, metavar="T",
@@ -277,7 +278,7 @@ def _evaluate_args(sp) -> None:
     sp.add_argument("--minkowski-p", type=float, default=DEFAULT_MINKOWSKI_P, metavar="P")
     sp.add_argument("--levels", type=int, default=3)
     sp.add_argument("--k", type=int, default=64)
-    _add_preprocess_flags(sp)
+    _add_preprocess_flags(sp, gallery=False)
     sp.add_argument("--out", metavar="FILE", default=None,
                     help="write the CSV here instead of stdout")
     sp.set_defaults(handler=_cmd_evaluate)

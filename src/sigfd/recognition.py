@@ -7,7 +7,9 @@ lexicographically smallest identity so results never depend on
 enrollment order.
 """
 
+import bisect
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -172,6 +174,14 @@ class Gallery:
         return Gallery._from_columns, (self.meta, self.names, self.columns, self.sample_names,
                                        self.sample_columns, self.magnitudes, self.preprocess)
 
+    @functools.cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_group_by(columns)`, read-only, computed on first use; copies recompute it."""
+        groups = _group_by(self.columns)
+        for array in groups:
+            array.flags.writeable = False
+        return groups
+
     @property
     def identities(self) -> tuple[str, ...]:
         """Each template's identity in enrollment order, built on each access."""
@@ -238,22 +248,28 @@ def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) 
     return extract_features(probe, config)
 
 
+def _group_by(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that groups equal codes in ascending code order, and
+    the position in that order where each group starts."""
+    order = np.argsort(columns, kind="stable")
+    grouped = columns[order]
+    return order, np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+
+
 def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows: np.ndarray,
-                     columns: np.ndarray) -> np.ndarray:
+                     groups: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Closest-template distance per identity for each probe.
 
-    `probes` is (P, k) and `rows` is (T, k); template t has identity column
-    `columns[t]`.  Returns the (P, distinct columns) minima in ascending
-    column order.  Distances are computed _CHUNK_ROWS template rows at a
-    time into one (P, T) matrix whose columns are then grouped by identity
-    and reduced with one `np.minimum.reduceat`; `min` is exact, so neither
-    enrollment order nor chunking changes a result.
+    `probes` is (P, k) and `rows` is (T, k); `groups` is `_group_by` of the
+    rows' identity columns.  Returns the (P, distinct columns) minima in
+    ascending column order.  Distances are computed _CHUNK_ROWS template
+    rows at a time into one (P, T) matrix whose columns are then grouped by
+    identity and reduced with one `np.minimum.reduceat`; `min` is exact, so
+    neither enrollment order nor chunking changes a result.
     """
     dmat = np.hstack([pairwise_distances(measure, probes, rows[start:start + _CHUNK_ROWS])
                       for start in range(0, len(rows), _CHUNK_ROWS)])
-    order = np.argsort(columns, kind="stable")
-    grouped = columns[order]
-    firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    order, firsts = groups
     return np.minimum.reduceat(dmat[:, order], firsts, axis=1)
 
 
@@ -262,7 +278,7 @@ def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
     """Rank identities by their closest template to the probe."""
     fd = _probe_features(gallery, probe, config)
     dists = _identity_minima(measure, fd.magnitudes[None], gallery.magnitudes,
-                             gallery.columns)[0]
+                             gallery._groups)[0]
     # Columns are in sorted identity order, so a stable sort by distance
     # breaks ties toward the lexicographically smallest identity.
     order = np.argsort(dists, kind="stable")
@@ -276,11 +292,12 @@ def verify(gallery: Gallery, claimed: str, probe: GrayImage, measure: DistanceMe
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, got nan")
     fd = _probe_features(gallery, probe, config)
-    if claimed not in gallery.names:
+    code = bisect.bisect_left(gallery.names, claimed)
+    if code == len(gallery.names) or gallery.names[code] != claimed:
         raise UnknownIdentity(f"{claimed!r} has no enrolled templates")
-    rows = gallery.magnitudes[gallery.columns == gallery.names.index(claimed)]
+    rows = gallery.magnitudes[gallery.columns == code]
     d = float(_identity_minima(measure, fd.magnitudes[None], rows,
-                               np.zeros(len(rows), dtype=np.intp))[0, 0])
+                               _group_by(np.zeros(len(rows), dtype=np.intp)))[0, 0])
     return VerifyResult(d <= threshold, d)
 
 
@@ -480,7 +497,7 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     pre = {label: [preprocess(img, config.preprocess) for img in dataset[label]]
            for label in labels}
     probe_labels = np.repeat(np.arange(len(labels)), [len(test_idx[l]) for l in labels])
-    owners = np.repeat(np.arange(len(labels)), train_k)
+    groups = _group_by(np.repeat(np.arange(len(labels)), train_k))
 
     rates = np.zeros((len(measures), len(families)))
     for fi, family in enumerate(families):
@@ -490,7 +507,7 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
         train = np.vstack([feats[label][train_idx[label]] for label in labels])
         probes = np.vstack([feats[label][test_idx[label]] for label in labels])
         for mi, measure in enumerate(measures):
-            minima = _identity_minima(measure, probes, train, owners)
+            minima = _identity_minima(measure, probes, train, groups)
             predicted = np.argmin(minima, axis=1)
             rates[mi, fi] = 100.0 * float(np.mean(predicted == probe_labels))
 

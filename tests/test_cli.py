@@ -543,7 +543,9 @@ _CLI_TEXT = json.loads((Path(__file__).resolve().parent / "data" / "cli-text.jso
 @pytest.mark.parametrize("case", list(_CLI_TEXT))
 def test_help_and_usage_text_is_pinned(case, capsys, monkeypatch):
     """Help and usage output, byte for byte as captured from the CLI that built
-    every subcommand's arguments up front (argparse of Python 3.11, 80 columns)."""
+    every subcommand's arguments up front (argparse of Python 3.11, 80 columns);
+    the enroll, identify and verify help was captured again when its
+    --median-window and --target-size defaults became the gallery's."""
     monkeypatch.setenv("COLUMNS", "80")
     want = _CLI_TEXT[case]
     code = run(want["argv"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigfd import imaging
 from sigfd.errors import (BadTarget, BadWindow, FormatError, IoError,
                           TooFewPixels)
 from sigfd.imaging import (BACKGROUND, ForegroundMask, GrayImage,
@@ -579,6 +580,20 @@ _BORDER_INK[255, 255] = 200
 @example(px=_CENTRE_DOT, rotation=0.0, scale=4.0, shift=(0.0, 0.0))
 @example(px=_BORDER_INK, rotation=-2.5, scale=0.3, shift=(0.4, -0.2))
 @example(px=_BORDER_INK, rotation=0.1, scale=3.7, shift=(-1.0, 1.0))
+# scale * (|cos| + |sin|) + 0.5, whose floor (plus 1e-6) is the dilation
+# radius, landing on an integer (scale 1.5 at 0, and within rounding 1/sqrt(2)
+# and 1.5/sqrt(2) at pi/4) or just below one (the nextafter scales)
+@example(px=_CENTRE_DOT, rotation=0.0, scale=1.5, shift=(0.1, 0.0))
+@example(px=_BORDER_INK, rotation=0.0, scale=1.5, shift=(0.25 / 256, -0.5 / 256))
+@example(px=_BORDER_INK, rotation=math.pi / 4, scale=1 / math.sqrt(2), shift=(0.0, 0.0))
+@example(px=_BORDER_INK, rotation=math.pi / 4, scale=1.5 / math.sqrt(2), shift=(0.0, 0.0))
+@example(px=_BORDER_INK, rotation=0.0, scale=math.nextafter(1.5, 0.0), shift=(0.0, 0.0))
+@example(px=_BORDER_INK, rotation=math.pi / 2, scale=math.nextafter(2.5, 0.0),
+         shift=(0.3 / 256, 0.0))
+# border ink moved 0.7 pixel out of the frame rounds to a point just outside
+# it, whose neighbourhood still reaches the edge row and column
+@example(px=_BORDER_INK, rotation=0.0, scale=1.0, shift=(-0.7 / 256, -0.7 / 256))
+@example(px=_BORDER_INK, rotation=0.0, scale=1.0, shift=(0.7 / 256, 0.7 / 256))
 def test_ink_bounded_warp_equals_the_full_frame_sampler(px, rotation, scale, shift):
     # shifts are fractions of the frame, so the ink moves partly or wholly out
     h, w = px.shape
@@ -587,6 +602,97 @@ def test_ink_bounded_warp_equals_the_full_frame_sampler(px, rotation, scale, shi
     assert np.array_equal(out, _full_frame(px, rotation, scale, dx, dy))
     if h <= 12 and w <= 12:
         assert np.array_equal(out, _warp_reference(px, rotation, scale, dx, dy))
+
+
+def test_warp_on_either_side_of_the_dense_ink_share(monkeypatch):
+    # a frame with just under and just over the share of ink above which the
+    # whole frame is sampled, and a reach that spans the frame or falls just
+    # short of it; each must equal the full-frame sampler
+    calls = []
+    reachable = imaging._reachable
+    monkeypatch.setattr(imaging, "_reachable", lambda *a: calls.append(1) or reachable(*a))
+    h, w = 24, 20
+    limit = math.floor(imaging._DENSE_INK_SHARE * h * w)
+    order = np.random.default_rng(9).permutation(h * w)
+    for count, sparse in ((limit, True), (limit + 1, False)):
+        px = np.full(h * w, BACKGROUND, dtype=np.uint8)
+        px[order[:count]] = np.arange(count) % 255
+        px = px.reshape(h, w)
+        for rotation, scale in ((0.4, 1.0), (-2.0, 0.6), (math.pi / 4, 1.3)):
+            calls.clear()
+            out = warp_similarity(GrayImage(px), rotation, scale, (1.5, -2.0)).pixels
+            assert np.array_equal(out, _full_frame(px, rotation, scale, 1.5, -2.0))
+            assert bool(calls) == sparse, (count, rotation, scale)
+    # reach + 1 >= max(h, w) samples the whole frame, just below it does not
+    px = np.full((h, w), BACKGROUND, dtype=np.uint8)
+    px[10:13, 4:15] = 0
+    for rotation, scale, sparse in ((0.0, 23.0, False), (0.0, math.nextafter(23.0, 0.0), True),
+                                    (math.pi / 4, 16.5, False),
+                                    (0.3, 1e6, False), (0.3, 7.0, True)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = warp_similarity(GrayImage(px), rotation, scale, (0.5, 0.25)).pixels
+        assert np.array_equal(out, _full_frame(px, rotation, scale, 0.5, 0.25))
+        assert bool(calls) == sparse, (rotation, scale)
+
+
+@st.composite
+def _paper_frames(draw):
+    """Frames mostly of paper, with no paper at all, or with one pixel that
+    is not paper."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["paper", "no paper", "one pixel"]))
+    if kind == "no paper":
+        return rng.integers(0, BACKGROUND, size=(h, w), dtype=np.uint8)
+    px = np.full((h, w), BACKGROUND, dtype=np.uint8)
+    if kind == "one pixel":
+        px[rng.integers(h), rng.integers(w)] = rng.integers(0, BACKGROUND)
+    else:
+        ink = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+        px[ink] = rng.integers(0, 256, size=int(ink.sum()))
+    return px
+
+
+def _otsu_bincount_reference(px):
+    """`otsu_threshold` over a histogram counted from every pixel."""
+    hist = np.bincount(px.ravel(), minlength=256).astype(np.float64)
+    csum = np.cumsum(hist)
+    msum = np.cumsum(hist * np.arange(256))
+    w0, s0 = csum[:-1], msum[:-1]
+    w1, s1 = csum[-1] - w0, msum[-1] - s0
+    valid = (w0 > 0) & (w1 > 0)
+    var = np.zeros(255)
+    var[valid] = w0[valid] * w1[valid] * (s0[valid] / w0[valid] - s1[valid] / w1[valid]) ** 2
+    return int(np.argmax(var)) + 1
+
+
+def _orientation_nonzero_reference(bits):
+    """`estimate_orientation` over the coordinates `np.nonzero` lists."""
+    ys, xs = np.nonzero(bits)
+    x, y = xs - xs.mean(), ys - ys.mean()
+    return 0.5 * math.atan2(2.0 * float((x * y).sum()) + 0.0,
+                            float((x * x).sum()) - float((y * y).sum()))
+
+
+@settings(deadline=None, max_examples=200)
+@given(px=_paper_frames(), threshold=st.integers(0, 256))
+@example(px=np.full((3, 4), BACKGROUND, dtype=np.uint8), threshold=256)
+@example(px=np.array([[7, 255], [255, 255]], dtype=np.uint8), threshold=256)
+@example(px=np.array([[0, 254], [1, 3]], dtype=np.uint8), threshold=2)
+def test_otsu_and_orientation_equal_their_full_frame_references(px, threshold):
+    assert otsu_threshold(px) == _otsu_bincount_reference(px)
+    # the mask of the pixels below a threshold, 256 taking every non-paper
+    # pixel, in C order and as a transposed view
+    bits = px < threshold if threshold < 256 else px != BACKGROUND
+    for view in (bits, bits.T):
+        mask = ForegroundMask(view)
+        if mask.count < 2:
+            with pytest.raises(TooFewPixels):
+                estimate_orientation(mask)
+        else:
+            assert estimate_orientation(mask) == _orientation_nonzero_reference(view)
 
 
 # --- preprocess chain ----------------------------------------------------------------

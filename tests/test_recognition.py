@@ -278,8 +278,10 @@ def test_verify_threshold_must_be_a_number(tiny_dataset, tiny_gallery):
 
 
 def test_verify_unknown_identity(tiny_dataset, tiny_gallery):
-    with pytest.raises(UnknownIdentity):
-        verify(tiny_gallery, "ghost", tiny_dataset["id000"][0], MANHATTAN, 1.0, CFG)
+    # names that sort before, between and after the enrolled ones
+    for claimed in ("ghost", "", "a", "id00", "id0000", "id001a", "zzz"):
+        with pytest.raises(UnknownIdentity, match=f"^{claimed!r} has no enrolled templates$"):
+            verify(tiny_gallery, claimed, tiny_dataset["id000"][0], MANHATTAN, 1.0, CFG)
 
 
 # A small frame keeps probe extraction cheap in the ranking properties below.
@@ -324,6 +326,27 @@ def test_identify_ranking_ignores_template_order_and_chunking(parts, name, chunk
     with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
         assert identify(shuffled, _PROBE, measure, SMALL).ranking == expected
     assert identify(forward, _PROBE, measure, SMALL).ranking == expected
+
+
+def test_interleaved_and_grouped_enrollment_give_equal_results():
+    # the same templates enrolled identity by identity and sample by sample;
+    # a second identify reads the grouping the first one computed, and a
+    # copy made after that computes its own
+    per_id = 4
+    rows = np.random.default_rng(51).random((7 * per_id, SMALL.k)) + 0.1
+    grouped = [(f"i{t // per_id}", f"s{t % per_id}", row) for t, row in enumerate(rows)]
+    interleaved = sorted(grouped, key=lambda key: (key[1], key[0]))
+    galleries = [Gallery(SMALL.meta, tuple(Template(i, s, FourierDescriptor(row, SMALL.meta))
+                                           for i, s, row in keys), SMALL.preprocess)
+                 for keys in (grouped, interleaved)]
+    assert galleries[0].columns.tolist() == sorted(galleries[0].columns.tolist())
+    assert galleries[1].columns.tolist()[:7] == list(range(7))
+    for name in MEASURE_NAMES:
+        measure = DistanceMeasure(name)
+        expected = identify(galleries[0], _PROBE, measure, SMALL)
+        assert expected.ranking == _brute_force_ranking(galleries[0], measure)
+        for gallery in (*galleries, galleries[1], copy.deepcopy(galleries[1])):
+            assert identify(gallery, _PROBE, measure, SMALL) == expected
 
 
 def test_identify_matches_brute_force_across_a_chunk_boundary():
