@@ -72,7 +72,7 @@ class ForegroundMask:
 
     @property
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
 
 def _power_of_two(n: int) -> bool:
@@ -176,32 +176,42 @@ def save_image(img: GrayImage, path) -> None:
 
 # --- denoising and binarization ---------------------------------------------
 
-# Paeth's median-of-nine exchange network (Graphics Gems, 1990): after
-# these 19 min/max exchanges, slot 4 holds the median of the nine slots.
-_MEDIAN9_EXCHANGES = (
-    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
-    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4),
-    (4, 2),
-)
+def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    lo, hi = _sort2(a, b)
+    return np.maximum(lo, np.minimum(hi, c))
 
 
 def median_filter(img: GrayImage, window: int = 3) -> GrayImage:
     """Median over a window x window neighborhood, edges replicated.
 
-    The default 3x3 window runs an exchange network over the nine shifted
-    views; other windows take `np.median` over a sliding-window view.
+    The default 3x3 window is a min/max comparator network, so it is exact
+    for any input once it is for 0/1 inputs.  Each vertical triple of the
+    edge-padded frame is sorted once into low, middle and high, and every
+    output pixel is then the median of the largest of its three columns'
+    lows, the median of their middles and the smallest of their highs.
+    Other windows take `np.median` over a sliding-window view.
     """
     _check_window(window)
-    pad = window // 2
-    padded = np.pad(img.pixels, pad, mode="edge")
+    px = img.pixels
+    h, w = px.shape
     if window == 3:
-        h, w = img.pixels.shape
-        v = [padded[dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)]
-        for a, b in _MEDIAN9_EXCHANGES:
-            v[a], v[b] = np.minimum(v[a], v[b]), np.maximum(v[a], v[b])
-        return GrayImage(v[4])
+        padded = np.empty((h + 2, w + 2), dtype=np.uint8)
+        padded[1:-1, 1:-1] = px
+        padded[0, 1:-1], padded[-1, 1:-1] = px[0], px[-1]
+        padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+        lo, mid = _sort2(padded[:-2], padded[1:-1])
+        mid, hi = _sort2(mid, padded[2:])
+        lo, mid = _sort2(lo, mid)
+        lows = np.maximum(np.maximum(lo[:, :-2], lo[:, 1:-1]), lo[:, 2:])
+        highs = np.minimum(np.minimum(hi[:, :-2], hi[:, 1:-1]), hi[:, 2:])
+        return GrayImage(_median3(lows, _median3(mid[:, :-2], mid[:, 1:-1], mid[:, 2:]), highs))
+    padded = np.pad(px, window // 2, mode="edge")
     view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-    med = np.median(view.reshape(img.height, img.width, -1), axis=2)
+    med = np.median(view.reshape(h, w, -1), axis=2)
     return GrayImage(med.astype(np.uint8))
 
 

@@ -349,6 +349,20 @@ def test_interleaved_and_grouped_enrollment_give_equal_results():
             assert identify(gallery, _PROBE, measure, SMALL) == expected
 
 
+def test_identity_minima_are_the_same_bits_for_any_chunk_size():
+    rng = np.random.default_rng(52)
+    probes = rng.random((3, SMALL.k)) + 0.1
+    rows = rng.random((40, SMALL.k)) + 0.1
+    groups = recognition._group_by(rng.integers(0, 9, size=len(rows)))
+    for name in MEASURE_NAMES:
+        measure = DistanceMeasure(name)
+        whole = recognition._identity_minima(measure, probes, rows, groups)
+        for chunk in (1, 2, 3, 7, 13, 39, 40):
+            with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
+                got = recognition._identity_minima(measure, probes, rows, groups)
+            assert got.tobytes() == whole.tobytes(), (name, chunk)
+
+
 def test_identify_matches_brute_force_across_a_chunk_boundary():
     # three templates per identity, so one identity's rows straddle the
     # first chunk boundary; its exact copy of the probe comes before the
@@ -467,6 +481,43 @@ def test_evaluate_same_seed_same_rates(tiny_dataset):
     b = evaluate(*args, train_k=2, seed=7)
     assert np.array_equal(a.rates, b.rates)
     assert report_to_csv(a) == report_to_csv(b)
+
+
+# `report_to_csv` of a perturbed 6 x 4 synthetic set over every measure and
+# family, at the default pipeline and at a non-square 64x32 frame with two
+# levels, captured before the 3x3 median became the sorted-triple network:
+# a faster pipeline must write the same CSVs.
+_PINNED_GRID_CSV = (
+    "measure,haar,db2,db8,db15,sym8\n"
+    "minkowski,83.3,91.7,91.7,91.7,83.3\n"
+    "manhattan,66.7,75.0,75.0,75.0,75.0\n"
+    "euclidean,83.3,83.3,83.3,83.3,75.0\n"
+    "angle,75.0,75.0,75.0,75.0,66.7\n"
+    "correlation,75.0,75.0,75.0,75.0,66.7\n"
+    "mod-manhattan,66.7,66.7,66.7,66.7,66.7\n"
+    "mod-sse,66.7,66.7,75.0,75.0,66.7\n",
+    "measure,haar,db2,db8,db15,sym8\n"
+    "minkowski,58.3,58.3,66.7,50.0,66.7\n"
+    "manhattan,58.3,58.3,66.7,58.3,66.7\n"
+    "euclidean,58.3,58.3,66.7,50.0,58.3\n"
+    "angle,66.7,66.7,75.0,75.0,66.7\n"
+    "correlation,75.0,66.7,75.0,75.0,66.7\n"
+    "mod-manhattan,50.0,50.0,66.7,66.7,58.3\n"
+    "mod-sse,58.3,58.3,83.3,75.0,58.3\n",
+)
+
+
+def test_evaluate_grid_csv_is_pinned():
+    dataset = generate_synthetic(SynthSpec(
+        n_identities=6, samples_per_identity=4, rotation_deg=30.0, scale_range=(0.7, 1.3),
+        translation_px=20.0, noise_fraction=0.06, seed=13))
+    measures = [DistanceMeasure(name) for name in MEASURE_NAMES]
+    configs = (CFG, PipelineConfig(levels=2, k=32,
+                                   preprocess=PreprocessConfig(target_size=(64, 32))))
+    for config, pinned in zip(configs, _PINNED_GRID_CSV):
+        report = evaluate(dataset, measures, list(WaveletFamily), train_k=2, seed=5,
+                          config=config)
+        assert report_to_csv(report) == pinned
 
 
 def test_report_csv_layout():

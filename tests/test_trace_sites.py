@@ -11,10 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from sigfd import cli
+from sigfd import cli, recognition
 from sigfd.descriptor import extract_features
 from sigfd.imaging import GrayImage, save_image
-from sigfd.recognition import Gallery, Template, save_gallery
+from sigfd.metrics import DistanceMeasure
+from sigfd.recognition import Gallery, SynthSpec, Template, generate_synthetic, save_gallery
+from sigfd.wavelet import WaveletFamily
 
 
 @pytest.fixture
@@ -48,6 +50,23 @@ def test_extraction_passes_through_its_trace_sites(spans):
                  "imaging.estimate_orientation", "imaging.rotate", "imaging.scale_normalize",
                  "descriptor.dft", "descriptor.normalize_descriptor"):
         assert name in seen
+
+
+def test_evaluate_preprocesses_each_image_once_and_describes_it_per_family(spans):
+    dataset = generate_synthetic(SynthSpec(n_identities=3, samples_per_identity=3, seed=4))
+    families = (WaveletFamily.HAAR, WaveletFamily.DB8, WaveletFamily.SYM8)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("evaluate-grid"):
+            recognition.evaluate(dataset, [DistanceMeasure("manhattan")], families, train_k=1)
+    finally:
+        tracer.remove()
+    stats = tracer.stats()
+    assert stats["recognition.evaluate"][0] == 1
+    assert stats["imaging.preprocess"][0] == 9
+    assert stats["descriptor.dft"][0] == 9 * len(families)
+    assert stats["descriptor.normalize_descriptor"][0] == 9 * len(families)
 
 
 def test_cli_identify_reads_the_packed_gallery_without_descriptor_files(spans, tmp_path):
