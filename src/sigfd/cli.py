@@ -334,6 +334,10 @@ def run(argv=None) -> int:
     except SigfdError as exc:
         print(f"sigfd: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy raises a private subclass; name the public one
+        print(f"sigfd: error: MemoryError: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -420,7 +420,8 @@ def preprocess(img: GrayImage, config: PreprocessConfig = PreprocessConfig()) ->
     out = median_filter(img, config.median_window)
     if config.slant_enabled:
         mask = binarize(out, config.binarize_threshold)
-        if not mask.degenerate and mask.count >= 2:
+        # a degenerate mask is all background, so its count is 0
+        if mask.count >= 2:
             theta = estimate_orientation(mask)
             if theta != 0.0:
                 out = rotate(out, -theta)

@@ -9,7 +9,6 @@ enrollment order.
 
 import bisect
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -18,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-# `distance`, `dft`, `dwt2_multi`, `normalize_descriptor` and `save_descriptor`
-# are not called here, but bench/spans.py traces calls by patching these
-# module globals, so every name it looks up on this module has to stay
-# importable.
+# `distance`, `dft`, `dwt2_multi`, `normalize_descriptor`, `load_descriptor`
+# and `save_descriptor` are not called here, but bench/spans.py traces calls
+# by patching these module globals, so every name it looks up on this module
+# has to stay importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
                          _check_magnitudes, _check_savable, describe, dft,
                          extract_features, load_descriptor,
@@ -174,14 +173,6 @@ class Gallery:
         return Gallery._from_columns, (self.meta, self.names, self.columns, self.sample_names,
                                        self.sample_columns, self.magnitudes, self.preprocess)
 
-    @functools.cached_property
-    def _groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_group_by(columns)`, read-only, computed on first use; copies recompute it."""
-        groups = _group_by(self.columns)
-        for array in groups:
-            array.flags.writeable = False
-        return groups
-
     @property
     def identities(self) -> tuple[str, ...]:
         """Each template's identity in enrollment order, built on each access."""
@@ -248,29 +239,24 @@ def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) 
     return extract_features(probe, config)
 
 
-def _group_by(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable order that groups equal codes in ascending code order, and
-    the position in that order where each group starts."""
-    order = np.argsort(columns, kind="stable")
-    grouped = columns[order]
-    return order, np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-
-
 def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows: np.ndarray,
-                     groups: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                     codes: np.ndarray, n: int) -> np.ndarray:
     """Closest-template distance per identity for each probe.
 
-    `probes` is (P, k) and `rows` is (T, k); `groups` is `_group_by` of the
-    rows' identity columns.  Returns the (P, distinct columns) minima in
-    ascending column order.  Distances are computed _CHUNK_ROWS template
-    rows at a time into one (P, T) matrix whose columns are then grouped by
-    identity and reduced with one `np.minimum.reduceat`; `min` is exact, so
-    neither enrollment order nor chunking changes a result.
+    `probes` is (P, k), `rows` is (T, k) and `codes` gives each row's
+    identity in [0, n).  Returns the (P, n) minima, inf where a code has no
+    row.  Distances are computed _CHUNK_ROWS template rows at a time into one
+    (P, T) matrix, and one flat `np.minimum.at` scatters it into the
+    minima by code; `min` is exact, so neither enrollment order nor chunking
+    changes a result.
     """
     dmat = np.hstack([pairwise_distances(measure, probes, rows[start:start + _CHUNK_ROWS])
                       for start in range(0, len(rows), _CHUNK_ROWS)])
-    order, firsts = groups
-    return np.minimum.reduceat(dmat[:, order], firsts, axis=1)
+    out = np.full((len(probes), n), np.inf)
+    # flat indices are cheaper for `minimum.at` than a 2-D (row, code) index
+    np.minimum.at(out.reshape(-1), (np.arange(0, out.size, n)[:, None] + codes).ravel(),
+                  dmat.ravel())
+    return out
 
 
 def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
@@ -278,8 +264,8 @@ def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
     """Rank identities by their closest template to the probe."""
     fd = _probe_features(gallery, probe, config)
     dists = _identity_minima(measure, fd.magnitudes[None], gallery.magnitudes,
-                             gallery._groups)[0]
-    # Columns are in sorted identity order, so a stable sort by distance
+                             gallery.columns, len(gallery.names))[0]
+    # Codes are in sorted identity order, so a stable sort by distance
     # breaks ties toward the lexicographically smallest identity.
     order = np.argsort(dists, kind="stable")
     ranking = tuple(zip([gallery.names[i] for i in order.tolist()], dists[order].tolist()))
@@ -297,7 +283,7 @@ def verify(gallery: Gallery, claimed: str, probe: GrayImage, measure: DistanceMe
         raise UnknownIdentity(f"{claimed!r} has no enrolled templates")
     rows = gallery.magnitudes[gallery.columns == code]
     d = float(_identity_minima(measure, fd.magnitudes[None], rows,
-                               _group_by(np.zeros(len(rows), dtype=np.intp)))[0, 0])
+                               np.zeros(len(rows), dtype=np.intp), 1)[0, 0])
     return VerifyResult(d <= threshold, d)
 
 
@@ -497,7 +483,7 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     pre = {label: [preprocess(img, config.preprocess) for img in dataset[label]]
            for label in labels}
     probe_labels = np.repeat(np.arange(len(labels)), [len(test_idx[l]) for l in labels])
-    groups = _group_by(np.repeat(np.arange(len(labels)), train_k))
+    train_labels = np.repeat(np.arange(len(labels)), train_k)
 
     rates = np.zeros((len(measures), len(families)))
     for fi, family in enumerate(families):
@@ -507,7 +493,7 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
         train = np.vstack([feats[label][train_idx[label]] for label in labels])
         probes = np.vstack([feats[label][test_idx[label]] for label in labels])
         for mi, measure in enumerate(measures):
-            minima = _identity_minima(measure, probes, train, groups)
+            minima = _identity_minima(measure, probes, train, train_labels, len(labels))
             predicted = np.argmin(minima, axis=1)
             rates[mi, fi] = 100.0 * float(np.mean(predicted == probe_labels))
 
@@ -567,13 +553,15 @@ def save_gallery(gallery: Gallery, root) -> None:
 
 
 def load_gallery(root) -> Gallery:
-    """Read a gallery written by `save_gallery`, or a read-only v2 or v1 gallery.
+    """Read a gallery written by `save_gallery`, or a read-only v2 gallery.
 
     A v3 manifest is read in place: the code columns and the magnitude
     matrix are views of the file's bytes, and the only Python work is per
-    distinct name.  v2 and v1 galleries hold no preprocessing and read as
-    the default one.  A manifest holds every template; `*.sigfd` files
-    beside a v2 or v3 manifest are ignored.
+    distinct name.  A v2 gallery holds no preprocessing and reads as the
+    default one.  A manifest holds every template; `*.sigfd` files beside
+    it are ignored.  A v1 gallery, a manifest over one descriptor file per
+    template, is no longer read: it is a `FormatError` that says to
+    re-enroll from the images.
     """
     root = Path(root)
     manifest = root / MANIFEST_NAME
@@ -589,13 +577,13 @@ def load_gallery(root) -> Gallery:
         raise FormatError(f"{manifest}: bad gallery header: {exc}") from exc
     fields = header.split()
     version = fields[1] if fields[:1] == [_GAL_MAGIC] and len(fields) > 1 else None
-    n_fields = {"v1": 5, "v2": 6, _GAL_VERSION: 15}
-    if len(fields) != n_fields.get(version) or (version == "v1" and data[body:].strip()):
+    if version == "v1":
+        raise FormatError(f"{manifest}: SIGGAL v1 galleries are no longer read; "
+                          "re-enroll the identities from their images")
+    if len(fields) != {"v2": 6, _GAL_VERSION: 15}.get(version):
         raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
     try:
         meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
-        if version == "v1":
-            return _load_v1(manifest, meta)
         if version == "v2":
             return _load_v2(meta, fields[5], data[body:])
         return _load_v3(meta, fields[5:], data, body)
@@ -656,14 +644,6 @@ def _load_v2(meta: DescriptorMeta, count: str, rest: bytes) -> Gallery:
     return Gallery._from_keys(meta, tuple(identity for identity, _ in keys),
                               tuple(sample_id for _, sample_id in keys),
                               np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
-
-
-def _load_v1(manifest: Path, meta: DescriptorMeta) -> Gallery:
-    """The v1 layout: one <identity>/<sample_id>.sigfd file per template."""
-    templates = tuple(Template(ident_dir.name, path.stem, load_descriptor(path))
-                      for ident_dir in sorted(p for p in manifest.parent.iterdir() if p.is_dir())
-                      for path in sorted(ident_dir.glob("*.sigfd")))
-    return Gallery(meta, templates)
 
 
 def save_dataset(dataset: dict[str, list[GrayImage]], root) -> int:

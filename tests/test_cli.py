@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sigfd import cli
 from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
 from sigfd.descriptor import DescriptorMeta, PipelineConfig, extract_features
 from sigfd.imaging import GrayImage, PreprocessConfig, load_image, save_image
 from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
-from sigfd.recognition import (Gallery, SynthSpec, Template, generate_synthetic,
+from sigfd.recognition import (Gallery, SynthSpec, generate_synthetic,
                                identify, load_gallery, save_dataset, save_gallery)
 from sigfd.wavelet import WaveletFamily
 
@@ -214,41 +215,6 @@ def test_enroll_meta_flags_must_match_existing_gallery(tmp_path, dataset_dir, ga
     assert list(_tree_bytes(gal)) == [Path("MANIFEST.siggal")]
 
 
-def test_enroll_meta_flags_must_match_existing_v1_gallery(tmp_path, dataset_dir, gallery_dir,
-                                                          write_v1_gallery, capsys):
-    gal = write_v1_gallery(load_gallery(gallery_dir), tmp_path / "gal")
-    _refuse_meta_changes(gal, str(dataset_dir / "id000" / "s002.pgm"), capsys)
-
-
-def test_enroll_migrates_a_v1_gallery_to_v3(tmp_path, dataset_dir, gallery_dir,
-                                            write_v1_gallery, capsys):
-    old = load_gallery(gallery_dir)
-    gal = write_v1_gallery(old, tmp_path / "gal")
-    v1_files = _tree_bytes(gal)
-    probe = dataset_dir / "id001" / "s002.pgm"
-    capsys.readouterr()
-    assert run(["identify", str(gallery_dir), str(probe)]) == 0
-    v2_answer = capsys.readouterr().out
-    assert run(["identify", str(gal), str(probe)]) == 0
-    assert capsys.readouterr().out == v2_answer
-    new = dataset_dir / "id002" / "s003.pgm"
-    assert run(["enroll", str(gal), "idnew", str(new)]) == 0
-    assert capsys.readouterr().out == "enrolled 1 sample(s) for idnew\n"
-    assert (gal / "MANIFEST.siggal").read_bytes().startswith(
-        b"SIGGAL v3 sym8 3 64 3 256 256 1 - 7 4 24 3 15\nid000\nid001\nid002\nidnew\n")
-    migrated = load_gallery(gal)
-    want = old.templates + (Template("idnew", "s003", extract_features(load_image(new))),)
-    assert _keys(migrated) == [(t.identity, t.sample_id) for t in want]
-    assert [t.descriptor.magnitudes.tobytes() for t in migrated.templates] == \
-        [t.descriptor.magnitudes.tobytes() for t in want]
-    # the v1 descriptor files stay on disk as they were, and are no longer read
-    after = _tree_bytes(gal)
-    assert all(after[p] == data for p, data in v1_files.items() if p.suffix == ".sigfd")
-    (gal / "id000" / "s000.sigfd").write_text("not a descriptor\n")
-    assert run(["identify", str(gal), str(probe)]) == 0
-    assert capsys.readouterr().out == v2_answer
-
-
 def _with_v3_header(data: bytes, old: bytes, new: bytes) -> bytes:
     """The v3 manifest `data` with `old` replaced by `new` in its header line.
 
@@ -377,19 +343,44 @@ def test_corrupt_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir, ca
         assert "FormatError" in captured.err and "MANIFEST.siggal" in captured.err
 
 
-def test_corrupt_v1_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir,
-                                             write_v1_gallery, capsys):
+def test_v1_gallery_is_a_data_error_that_says_to_reenroll(tmp_path, dataset_dir, gallery_dir,
+                                                          capsys):
+    # a v1 tree: a one-line manifest over one descriptor file per template
+    gal = tmp_path / "gal"
+    (gal / "id000").mkdir(parents=True)
+    (gal / "MANIFEST.siggal").write_text("SIGGAL v1 sym8 3 64\n", encoding="ascii")
+    for sample, row in zip(("s000", "s001"), load_gallery(gallery_dir).magnitudes):
+        (gal / "id000" / f"{sample}.sigfd").write_text(
+            "SIGFD v1 sym8 3 64\n" + "".join(f"{v!r}\n" for v in row.tolist()))
+    before = _tree_bytes(gal)
     probe = str(dataset_dir / "id000" / "s002.pgm")
-    for corrupt in ("nan", "short"):
-        gal = write_v1_gallery(load_gallery(gallery_dir), tmp_path / corrupt)
-        path = gal / "id001" / "s000.sigfd"
-        lines = path.read_text().splitlines()
-        lines = lines[:-1] + ["nan"] if corrupt == "nan" else lines[:-1]
-        path.write_text("\n".join(lines) + "\n")
-        assert run(["identify", str(gal), probe]) == 2
+    capsys.readouterr()
+    for argv in (["identify", str(gal), probe],
+                 ["verify", str(gal), "id000", "--threshold", "1", probe],
+                 ["enroll", str(gal), "idnew", probe]):
+        assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "FormatError" in captured.err and "s000.sigfd" in captured.err
+        assert captured.err == (f"sigfd: error: FormatError: {gal / 'MANIFEST.siggal'}: SIGGAL v1 "
+                                "galleries are no longer read; re-enroll the identities from "
+                                "their images\n")
+    assert _tree_bytes(gal) == before
+
+
+def test_memory_error_is_a_data_error(tmp_path, dataset_dir, capsys, monkeypatch):
+    class ArrayMemoryError(MemoryError):  # numpy raises a private subclass like this
+        pass
+
+    def exhausted(*args):
+        raise ArrayMemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "enroll", exhausted)
+    gal = tmp_path / "gal"
+    assert run(["enroll", str(gal), "id000", str(dataset_dir / "id000" / "s000.pgm")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sigfd: error: MemoryError: Unable to allocate 32.0 GiB for an array\n"
+    assert not gal.exists()
 
 
 def test_help_exits_zero(capsys):

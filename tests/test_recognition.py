@@ -19,7 +19,7 @@ from sigfd.errors import (DuplicateSample, EmptyGallery, FormatError,
                           InsufficientSamples, IoError, MetaMismatch,
                           UnknownIdentity)
 from sigfd.imaging import GrayImage, PreprocessConfig
-from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance
+from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance, pairwise_distances
 from sigfd.recognition import (EvalReport, Gallery, SynthSpec, Template,
                                enroll, evaluate, generate_synthetic, identify,
                                load_dataset, load_gallery, report_to_csv,
@@ -330,8 +330,7 @@ def test_identify_ranking_ignores_template_order_and_chunking(parts, name, chunk
 
 def test_interleaved_and_grouped_enrollment_give_equal_results():
     # the same templates enrolled identity by identity and sample by sample;
-    # a second identify reads the grouping the first one computed, and a
-    # copy made after that computes its own
+    # a second identify and a deep copy answer as the first identify did
     per_id = 4
     rows = np.random.default_rng(51).random((7 * per_id, SMALL.k)) + 0.1
     grouped = [(f"i{t // per_id}", f"s{t % per_id}", row) for t, row in enumerate(rows)]
@@ -353,14 +352,31 @@ def test_identity_minima_are_the_same_bits_for_any_chunk_size():
     rng = np.random.default_rng(52)
     probes = rng.random((3, SMALL.k)) + 0.1
     rows = rng.random((40, SMALL.k)) + 0.1
-    groups = recognition._group_by(rng.integers(0, 9, size=len(rows)))
+    n = 9
+    codes = rng.permutation(np.arange(len(rows)) % n)
+    assert set(codes.tolist()) == set(range(n))
     for name in MEASURE_NAMES:
         measure = DistanceMeasure(name)
-        whole = recognition._identity_minima(measure, probes, rows, groups)
+        dmat = pairwise_distances(measure, probes, rows)
+        reference = np.stack([dmat[:, codes == c].min(axis=1) for c in range(n)], axis=1)
+        whole = recognition._identity_minima(measure, probes, rows, codes, n)
+        assert whole.tobytes() == reference.tobytes(), name
         for chunk in (1, 2, 3, 7, 13, 39, 40):
             with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
-                got = recognition._identity_minima(measure, probes, rows, groups)
+                got = recognition._identity_minima(measure, probes, rows, codes, n)
             assert got.tobytes() == whole.tobytes(), (name, chunk)
+
+
+def test_matching_leaves_the_gallery_with_its_seven_fields(tiny_dataset, tiny_gallery):
+    fields = {"meta", "preprocess", "names", "columns", "sample_names", "sample_columns",
+              "magnitudes"}
+    probe = tiny_dataset["id001"][3]
+    gallery = copy.deepcopy(tiny_gallery)
+    assert set(vars(gallery)) == fields
+    identify(gallery, probe, MANHATTAN, CFG)
+    verify(gallery, "id001", probe, MANHATTAN, 1.0, CFG)
+    assert set(vars(gallery)) == fields
+    assert set(vars(copy.deepcopy(gallery))) == fields
 
 
 def test_identify_matches_brute_force_across_a_chunk_boundary():
@@ -631,16 +647,6 @@ def test_v2_load_and_identify_build_no_per_template_objects(tmp_path, tiny_datas
     assert per_probe == {"FourierDescriptor": 1}
 
 
-def test_v1_gallery_loads_bit_identically(tmp_path, tiny_gallery, write_v1_gallery):
-    root = write_v1_gallery(tiny_gallery, tmp_path / "gal")
-    # v1 lists templates by path, which here is also their enrollment order
-    _assert_same_gallery(load_gallery(root), tiny_gallery)
-    # a v2 save over it takes over, and the leftover descriptor files are ignored
-    save_gallery(tiny_gallery, root)
-    (root / "id000" / "s0.sigfd").write_text("not a descriptor\n")
-    _assert_same_gallery(load_gallery(root), tiny_gallery)
-
-
 def test_gallery_load_errors(tmp_path, tiny_gallery):
     with pytest.raises(IoError):
         load_gallery(tmp_path / "missing")
@@ -659,38 +665,19 @@ def test_gallery_load_errors(tmp_path, tiny_gallery):
             load_gallery(root2)
 
 
-def test_gallery_load_errors_v1(tmp_path, tiny_gallery, write_v1_gallery):
-    root = write_v1_gallery(tiny_gallery, tmp_path / "drift")
-    victim = root / "id000" / "s0.sigfd"
-    text = victim.read_text().splitlines()
-    victim.write_text("\n".join(["SIGFD v1 haar 3 64"] + text[1:]) + "\n")
-    with pytest.raises(MetaMismatch):
-        load_gallery(root)
-    victim.write_text("\n".join(text[:-1] + ["nan"]) + "\n")
-    with pytest.raises(FormatError, match="s0.sigfd"):
-        load_gallery(root)
-    (root / "MANIFEST.siggal").write_text("SIGGAL v1 sym8 3\n")
-    with pytest.raises(FormatError, match="MANIFEST.siggal"):
-        load_gallery(root)
-
-
-def test_gallery_load_rejects_bad_identity_directory_names(tmp_path, tiny_gallery,
-                                                           write_v1_gallery):
-    root = write_v1_gallery(tiny_gallery, tmp_path / "gal")
-    (root / "notes and scans").mkdir()  # holds no descriptors, so it is no identity
-    assert len(load_gallery(root).templates) == len(tiny_gallery.templates)
-    for bad in ("-id000", "id 000", ".id000"):
-        (root / "id000").rename(root / bad)
-        with pytest.raises(FormatError, match="identity"):
+def test_gallery_load_errors_v1(tmp_path, tiny_gallery):
+    # v1 galleries are not read, whether or not their header is well formed
+    root = tmp_path / "gal"
+    root.mkdir()
+    for header in ("SIGGAL v1 sym8 3 64\n", "SIGGAL v1 sym8 3\n"):
+        (root / "MANIFEST.siggal").write_text(header)
+        with pytest.raises(FormatError, match="MANIFEST.siggal: SIGGAL v1 .*re-enroll"):
             load_gallery(root)
-        (root / bad).rename(root / "id000")
-    # sample ids come from file stems and face the same check
-    good = root / "id000" / "s1.sigfd"
-    for bad in ("s 1", "-s1", ".s1"):
-        good.rename(good.with_name(f"{bad}.sigfd"))
-        with pytest.raises(FormatError, match="sample_id"):
-            load_gallery(root)
-        good.with_name(f"{bad}.sigfd").rename(good)
+    # a save over it takes over, and leftover descriptor files are ignored
+    (root / "id000").mkdir()
+    (root / "id000" / "s0.sigfd").write_text("not a descriptor\n")
+    save_gallery(tiny_gallery, root)
+    _assert_same_gallery(load_gallery(root), tiny_gallery)
 
 
 _BAD_NAMES = ("s 1", "", "-s1", ".s1", "a\nb", "s\u00e9")
