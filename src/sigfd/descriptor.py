@@ -19,7 +19,7 @@ from .imaging import GrayImage, PreprocessConfig, preprocess
 # `dwt2_multi` is not called here, but bench/spans.py traces calls by
 # patching this module's globals, so every name it looks up on this module
 # has to stay importable.
-from .wavelet import WaveletFamily, _check_levels, approximation, dwt2_multi
+from .wavelet import WaveletFamily, _approximate_plane, _check_levels, dwt2_multi
 
 NORMALIZER_EPS = 1e-12
 
@@ -127,11 +127,19 @@ def normalize_descriptor(spectrum: np.ndarray, k: int,
                              DescriptorMeta(family, levels, k))
 
 
+def describe_each(pre: GrayImage, configs) -> list[FourierDescriptor]:
+    """`describe` under each config, converting the image to float64 once."""
+    plane = pre.pixels.astype(np.float64)
+    out = []
+    for c in configs:
+        spectrum = dft(_approximate_plane(plane, c.family, c.levels).ravel())
+        out.append(normalize_descriptor(spectrum, c.k, family=c.family, levels=c.levels))
+    return out
+
+
 def describe(pre: GrayImage, config: PipelineConfig) -> FourierDescriptor:
     """Approximate, transform and normalize an already-preprocessed image."""
-    plane = approximation(pre, config.family, config.levels)
-    spectrum = dft(plane.ravel())
-    return normalize_descriptor(spectrum, config.k, family=config.family, levels=config.levels)
+    return describe_each(pre, (config,))[0]
 
 
 def extract_features(img: GrayImage, config: PipelineConfig = PipelineConfig()) -> FourierDescriptor:

@@ -22,7 +22,7 @@ import numpy as np
 # by patching these module globals, so every name it looks up on this module
 # has to stay importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                         _check_magnitudes, _check_savable, describe, dft,
+                         _check_magnitudes, _check_savable, describe_each, dft,
                          extract_features, load_descriptor,
                          normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
@@ -452,7 +452,10 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     The split is drawn once from `seed` and shared by every (measure,
     family) cell.  config.family is ignored; levels, k, and preprocessing
     are shared across the grid.  A single-identity dataset still runs but
-    its 100% rates are flagged degenerate.
+    its 100% rates are flagged degenerate.  Images are read in label order
+    and each is preprocessed once and described under every family before
+    the next, so the first degenerate image stops the run with its
+    `DegenerateDescriptor`.
     """
     measures = tuple(measures)
     families = tuple(families)
@@ -469,29 +472,36 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
                 f"identity {label!r} has {len(dataset[label])} samples, "
                 f"need > train_k = {train_k}")
 
+    # Row r of each family's feature matrix is the r-th image in label order.
     rng = np.random.default_rng(seed)
-    train_idx: dict[str, np.ndarray] = {}
-    test_idx: dict[str, np.ndarray] = {}
+    train_rows, probe_rows = [], []
+    start = 0
     for label in labels:
-        perm = rng.permutation(len(dataset[label]))
-        train_idx[label] = perm[:train_k]
-        test_idx[label] = perm[train_k:]
+        perm = start + rng.permutation(len(dataset[label]))
+        train_rows.append(perm[:train_k])
+        probe_rows.append(perm[train_k:])
+        start += len(dataset[label])
 
-    test_sizes = {len(test_idx[label]) for label in labels}
+    test_sizes = {len(rows) for rows in probe_rows}
     protocol = EvalProtocol(train_k, test_sizes.pop() if len(test_sizes) == 1 else None, seed)
-
-    pre = {label: [preprocess(img, config.preprocess) for img in dataset[label]]
-           for label in labels}
-    probe_labels = np.repeat(np.arange(len(labels)), [len(test_idx[l]) for l in labels])
+    probe_labels = np.repeat(np.arange(len(labels)), [len(rows) for rows in probe_rows])
     train_labels = np.repeat(np.arange(len(labels)), train_k)
+    train_rows = np.concatenate(train_rows)
+    probe_rows = np.concatenate(probe_rows)
+
+    # One preprocessed image is held at a time: it is described under every
+    # family and dropped before the next image is read.
+    configs = [dataclasses.replace(config, family=family) for family in families]
+    feats = np.empty((len(families), start, config.k))
+    images = itertools.chain.from_iterable(dataset[label] for label in labels)
+    for row, img in enumerate(images):
+        descriptors = describe_each(preprocess(img, config.preprocess), configs)
+        feats[:, row] = [fd.magnitudes for fd in descriptors]
 
     rates = np.zeros((len(measures), len(families)))
-    for fi, family in enumerate(families):
-        cfg = dataclasses.replace(config, family=family)
-        feats = {label: np.stack([describe(img, cfg).magnitudes for img in pre[label]])
-                 for label in labels}
-        train = np.vstack([feats[label][train_idx[label]] for label in labels])
-        probes = np.vstack([feats[label][test_idx[label]] for label in labels])
+    for fi in range(len(families)):
+        train = feats[fi, train_rows]
+        probes = feats[fi, probe_rows]
         for mi, measure in enumerate(measures):
             minima = _identity_minima(measure, probes, train, train_labels, len(labels))
             predicted = np.argmin(minima, axis=1)

@@ -185,6 +185,16 @@ def test_data_errors_exit_two(tmp_path, dataset_dir, gallery_dir):
     assert run(["evaluate", str(dataset_dir), "--train-k", "4"]) == 2
 
 
+def test_evaluate_with_a_blank_sample_is_a_data_error(tmp_path, capsys):
+    data = generate_synthetic(SynthSpec(n_identities=2, samples_per_identity=3, seed=8))
+    data["id001"][1] = GrayImage(np.full((64, 64), 255, dtype=np.uint8))
+    save_dataset(data, tmp_path / "data")
+    assert run(["evaluate", str(tmp_path / "data"), "--train-k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no usable fundamental" in captured.err
+
+
 def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

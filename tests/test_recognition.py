@@ -4,6 +4,7 @@ import copy
 import math
 import os
 import pickle
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 from sigfd import recognition
 from sigfd.descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
                               extract_features)
-from sigfd.errors import (DuplicateSample, EmptyGallery, FormatError,
-                          InsufficientSamples, IoError, MetaMismatch,
+from sigfd.errors import (DegenerateDescriptor, DuplicateSample, EmptyGallery,
+                          FormatError, InsufficientSamples, IoError, MetaMismatch,
                           UnknownIdentity)
 from sigfd.imaging import GrayImage, PreprocessConfig
 from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance, pairwise_distances
-from sigfd.recognition import (EvalReport, Gallery, SynthSpec, Template,
+from sigfd.recognition import (SYNTH_CANVAS, EvalReport, Gallery, SynthSpec, Template,
                                enroll, evaluate, generate_synthetic, identify,
                                load_dataset, load_gallery, report_to_csv,
                                save_dataset, save_gallery, verify)
@@ -497,6 +498,31 @@ def test_evaluate_same_seed_same_rates(tiny_dataset):
     b = evaluate(*args, train_k=2, seed=7)
     assert np.array_equal(a.rates, b.rates)
     assert report_to_csv(a) == report_to_csv(b)
+
+
+def test_evaluate_peak_memory_does_not_grow_with_the_dataset():
+    args = ([MANHATTAN], [WaveletFamily.HAAR, WaveletFamily.SYM8])
+    small, large = (generate_synthetic(SynthSpec(n_identities=3, samples_per_identity=n, seed=2))
+                    for n in (4, 12))
+    evaluate(small, *args, train_k=2)  # builds the cached lowpass operators
+    peaks = []
+    for dataset in (small, large):
+        tracemalloc.start()
+        try:
+            evaluate(dataset, *args, train_k=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # holding every preprocessed 256x256 image would add a whole one per sample
+    added = 3 * (12 - 4)
+    assert peaks[1] - peaks[0] < added * SYNTH_CANVAS ** 2 / 2
+
+
+def test_evaluate_stops_at_a_blank_sample(tiny_dataset):
+    dataset = {label: list(images) for label, images in tiny_dataset.items()}
+    dataset["id001"][2] = GrayImage(np.full((SYNTH_CANVAS, SYNTH_CANVAS), 255, dtype=np.uint8))
+    with pytest.raises(DegenerateDescriptor):
+        evaluate(dataset, [MANHATTAN], [WaveletFamily.HAAR, WaveletFamily.SYM8], train_k=2)
 
 
 # `report_to_csv` of a perturbed 6 x 4 synthetic set over every measure and

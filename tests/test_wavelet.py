@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigfd import wavelet
 from sigfd.errors import BadLevels, MalformedDecomposition, OddDimension
 from sigfd.imaging import GrayImage
 from sigfd.wavelet import (DetailSet, WaveletDecomposition, WaveletFamily,
-                           analysis_filters, approximation, dwt2_level,
+                           _analyze, analysis_filters, approximation, dwt2_level,
                            dwt2_multi, idwt2, subband_images)
 
 TAP_COUNTS = {
@@ -152,6 +154,40 @@ def test_approximation_operator_matches_dwt2_multi(family, levels, h_units, w_un
     got = approximation(img, family, levels)
     assert got.shape == approx.shape == (h >> levels, w >> levels)
     assert np.abs(got - approx).max() <= 1e-12 * np.abs(approx).max()
+
+
+def _unblocked_operator(family, levels, n):
+    """`_lowpass_operator` with the whole identity passed through at once."""
+    op = np.eye(n)
+    for _ in range(levels):
+        op = _analyze(op, analysis_filters(family).lowpass, axis=0)
+    return op
+
+
+@pytest.mark.parametrize("budget", [1, 12288, wavelet._OP_GATHER_BYTES],
+                         ids=["two-column-blocks", "few-column-blocks", "default-blocks"])
+@pytest.mark.parametrize("family", list(WaveletFamily))
+def test_blocked_operator_has_the_bits_and_layout_of_the_unblocked_one(monkeypatch, family,
+                                                                       budget):
+    monkeypatch.setattr(wavelet, "_OP_GATHER_BYTES", budget)
+    # extents below the filter length (db15 at 8 and 16), and blocks that do not divide n
+    for n in (8, 16, 24, 64, 256):
+        for levels in (1, 2, 3):
+            want = _unblocked_operator(family, levels, n)
+            got = wavelet._lowpass_operator.__wrapped__(family, levels, n)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            assert not got.flags.writeable
+
+
+def test_building_the_db15_operator_stays_under_two_megabytes():
+    # the unblocked build gathers a 256 x 128 x 30 float64 array, 7.9 MB
+    tracemalloc.start()
+    try:
+        wavelet._lowpass_operator.__wrapped__(WaveletFamily.DB15, 3, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_idwt_rejects_malformed_decomposition():
