@@ -39,6 +39,44 @@ class DistanceMeasure:
             raise ValueError(f"minkowski order must be positive, got {self.p!r}")
 
 
+# Gallery rows are scanned this many at a time, so the working set stays
+# (probes x _BLOCK_ROWS x k) however large the gallery.
+_BLOCK_ROWS = 1024
+
+
+def _centred(rows: np.ndarray, out: np.ndarray) -> None:
+    # Centered two-pass sums; the one-pass sum(x*x) - sum(x)**2/n cancels
+    # to nothing for rows with a large mean and a small spread.
+    np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
+
+
+def _centred_square(rows: np.ndarray, out: np.ndarray) -> None:
+    _centred(rows, out)
+    np.square(out, out=out)
+
+
+# Measures divided by an outer product of per-row sums: the term summed
+# along each row, written into a scratch block, and what the error names
+# when a sum is zero.
+_SCALED = {
+    "angle": (np.square, "angle distance"),
+    "correlation": (_centred_square, "correlation distance"),
+    "mod-manhattan": (np.abs, "modified Manhattan"),
+    "mod-sse": (np.square, "modified SSE"),
+}
+
+
+def _row_sums(rows: np.ndarray, term) -> np.ndarray:
+    """sum(term(rows)) along each row, _BLOCK_ROWS rows at a time in one scratch block."""
+    out = np.empty(len(rows))
+    scratch = np.empty((min(_BLOCK_ROWS, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        term(block, scratch[:len(block)])
+        np.add.reduce(scratch[:len(block)], axis=1, out=out[start:start + len(block)])
+    return out
+
+
 def distance(measure: DistanceMeasure, x, y) -> float:
     """The 1x1 `pairwise_distances`, whose shape check admits only equal-length vectors."""
     return float(pairwise_distances(measure, np.asarray(x)[None], np.asarray(y)[None])[0, 0])
@@ -50,6 +88,8 @@ def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:
     Each entry is reduced from its own pair of rows alone (elementwise
     products summed along the row, no matrix product), so it does not
     depend on the other rows in the call: a 1x1 call gives the same bits.
+    The gallery is scanned _BLOCK_ROWS rows at a time through one reused
+    (P, block, k) buffer, each block reduced straight into the result.
     Raises DegenerateInput when any row makes the measure undefined.
     """
     p = np.asarray(probes, dtype=np.float64)
@@ -58,39 +98,54 @@ def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:
         raise LengthMismatch(
             f"operands must be 2-D with a shared nonzero width, got {p.shape} and {g.shape}")
     name = measure.name
-    if name in ("angle", "correlation"):
-        if name == "correlation":
-            if (np.ptp(p, axis=1) == 0.0).any() or (np.ptp(g, axis=1) == 0.0).any():
-                raise DegenerateInput("correlation distance undefined for a constant vector")
-            # Centered two-pass sums; the one-pass sum(x*x) - sum(x)**2/n
-            # cancels to nothing for rows with a large mean and a small spread.
-            p = p - p.mean(axis=1, keepdims=True)
-            g = g - g.mean(axis=1, keepdims=True)
-        np2 = np.sum(p * p, axis=1)
-        ng2 = np.sum(g * g, axis=1)
-        if (np2 == 0.0).any() or (ng2 == 0.0).any():
-            raise DegenerateInput(f"{name} distance undefined for a zero vector")
-        cos = np.sum(p[:, None, :] * g[None, :, :], axis=2) / np.sqrt(np.outer(np2, ng2))
-        return -np.clip(cos, -1.0, 1.0)
-    diff = np.abs(p[:, None, :] - g[None, :, :])
-    if name == "minkowski":
-        # Scale each pair by its largest |difference| before the power, as
-        # LAPACK dnrm2 does, so a high order cannot overflow to inf.
-        top = diff.max(axis=2)
-        top = np.where(top > 0.0, top, 1.0)
-        return top * np.sum((diff / top[:, :, None]) ** measure.p, axis=2) ** (1.0 / measure.p)
-    if name == "manhattan":
-        return np.sum(diff, axis=2)
-    if name == "euclidean":
-        return np.sqrt(np.sum(diff ** 2, axis=2))
-    if name == "mod-manhattan":
-        sp = np.sum(np.abs(p), axis=1)
-        sg = np.sum(np.abs(g), axis=1)
+    if name == "correlation":
+        if (np.ptp(p, axis=1) == 0.0).any() or (np.ptp(g, axis=1) == 0.0).any():
+            raise DegenerateInput("correlation distance undefined for a constant vector")
+    if name in _SCALED:
+        term, what = _SCALED[name]
+        sp, sg = _row_sums(p, term), _row_sums(g, term)
         if (sp == 0.0).any() or (sg == 0.0).any():
-            raise DegenerateInput("modified Manhattan undefined for a zero vector")
-        return np.sum(diff, axis=2) / np.outer(sp, sg)
-    sp = np.sum(p * p, axis=1)
-    sg = np.sum(g * g, axis=1)
-    if (sp == 0.0).any() or (sg == 0.0).any():
-        raise DegenerateInput("modified SSE undefined for a zero vector")
-    return np.sum(diff ** 2, axis=2) / np.outer(sp, sg)
+            raise DegenerateInput(f"{what} undefined for a zero vector")
+    if name == "correlation":
+        p = p - p.mean(axis=1, keepdims=True)
+    out = np.empty((len(p), len(g)))
+    block = max(1, min(_BLOCK_ROWS, len(g)))
+    # each probe row copied down a block, so the ufuncs below run over
+    # contiguous memory instead of broadcasting one row
+    tiles = np.repeat(p[:, None, :], block, axis=1)
+    work = np.empty_like(tiles)
+    for start in range(0, len(g), block):
+        rows = g[start:start + block]
+        stop = start + len(rows)
+        w, t, d = work[:, :len(rows)], tiles[:, :len(rows)], out[:, start:stop]
+        if name == "correlation":
+            _centred(rows, w)
+            np.multiply(t, w, out=w)
+        elif name == "angle":
+            np.multiply(t, rows, out=w)
+        else:
+            np.subtract(t, rows, out=w)
+            np.abs(w, out=w)
+        if name == "minkowski":
+            # Scale each pair by its largest |difference| before the power, as
+            # LAPACK dnrm2 does, so a high order cannot overflow to inf.
+            top = w.max(axis=2)
+            top = np.where(top > 0.0, top, 1.0)
+            np.divide(w, top[:, :, None], out=w)
+            w **= measure.p
+        elif name in ("euclidean", "mod-sse"):
+            np.square(w, out=w)
+        np.add.reduce(w, axis=2, out=d)
+        if name == "minkowski":
+            d **= 1.0 / measure.p
+            d *= top
+        elif name == "euclidean":
+            np.sqrt(d, out=d)
+        elif name in ("angle", "correlation"):
+            d /= np.sqrt(np.outer(sp, sg[start:stop]))
+        elif name in _SCALED:
+            d /= np.outer(sp, sg[start:stop])
+    if name in ("angle", "correlation"):
+        np.clip(out, -1.0, 1.0, out=out)
+        np.negative(out, out=out)
+    return out

@@ -40,10 +40,6 @@ _GAL_VERSION = "v3"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
-# Template rows are stacked this many at a time while matching, so the
-# working set stays (probes x _CHUNK_ROWS x k) however large the gallery.
-_CHUNK_ROWS = 1024
-
 _NO_CODES = np.zeros(0, dtype=np.int32)
 
 
@@ -245,13 +241,12 @@ def _identity_minima(measure: DistanceMeasure, probes: np.ndarray, rows: np.ndar
 
     `probes` is (P, k), `rows` is (T, k) and `codes` gives each row's
     identity in [0, n).  Returns the (P, n) minima, inf where a code has no
-    row.  Distances are computed _CHUNK_ROWS template rows at a time into one
-    (P, T) matrix, and one flat `np.minimum.at` scatters it into the
-    minima by code; `min` is exact, so neither enrollment order nor chunking
-    changes a result.
+    row.  One blocked `pairwise_distances` scan gives the (P, T) matrix,
+    and one flat `np.minimum.at` scatters it into the minima by code; `min`
+    is exact, so neither enrollment order nor the scan's blocking changes a
+    result.
     """
-    dmat = np.hstack([pairwise_distances(measure, probes, rows[start:start + _CHUNK_ROWS])
-                      for start in range(0, len(rows), _CHUNK_ROWS)])
+    dmat = pairwise_distances(measure, probes, rows)
     out = np.full((len(probes), n), np.inf)
     # flat indices are cheaper for `minimum.at` than a 2-D (row, code) index
     np.minimum.at(out.reshape(-1), (np.arange(0, out.size, n)[:, None] + codes).ravel(),
@@ -266,9 +261,14 @@ def identify(gallery: Gallery, probe: GrayImage, measure: DistanceMeasure,
     dists = _identity_minima(measure, fd.magnitudes[None], gallery.magnitudes,
                              gallery.columns, len(gallery.names))[0]
     # Codes are in sorted identity order, so a stable sort by distance
-    # breaks ties toward the lexicographically smallest identity.
-    order = np.argsort(dists, kind="stable")
-    ranking = tuple(zip([gallery.names[i] for i in order.tolist()], dists[order].tolist()))
+    # breaks ties toward the lexicographically smallest identity.  Only an
+    # exact tie (or a nan) can tell the stable sort from the faster default.
+    order = np.argsort(dists)
+    ranked = dists[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(dists, kind="stable")
+        ranked = dists[order]
+    ranking = tuple(zip([gallery.names[i] for i in order.tolist()], ranked.tolist()))
     return MatchResult(ranking[0][0], ranking[0][1], ranking)
 
 
@@ -454,8 +454,9 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     are shared across the grid.  A single-identity dataset still runs but
     its 100% rates are flagged degenerate.  Images are read in label order
     and each is preprocessed once and described under every family before
-    the next, so the first degenerate image stops the run with its
-    `DegenerateDescriptor`.
+    the next, so the first image that fails stops the run with its error
+    type, re-raised to name the identity and the image's 0-based position
+    in that identity's list.
     """
     measures = tuple(measures)
     families = tuple(families)
@@ -493,10 +494,15 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     # family and dropped before the next image is read.
     configs = [dataclasses.replace(config, family=family) for family in families]
     feats = np.empty((len(families), start, config.k))
-    images = itertools.chain.from_iterable(dataset[label] for label in labels)
-    for row, img in enumerate(images):
-        descriptors = describe_each(preprocess(img, config.preprocess), configs)
-        feats[:, row] = [fd.magnitudes for fd in descriptors]
+    row = 0
+    for label in labels:
+        for sample, img in enumerate(dataset[label]):
+            try:
+                descriptors = describe_each(preprocess(img, config.preprocess), configs)
+            except SigfdError as exc:
+                raise type(exc)(f"identity {label!r} sample {sample}: {exc}") from exc
+            feats[:, row] = [fd.magnitudes for fd in descriptors]
+            row += 1
 
     rates = np.zeros((len(measures), len(families)))
     for fi in range(len(families)):

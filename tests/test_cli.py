@@ -192,7 +192,10 @@ def test_evaluate_with_a_blank_sample_is_a_data_error(tmp_path, capsys):
     assert run(["evaluate", str(tmp_path / "data"), "--train-k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "no usable fundamental" in captured.err
+    # s001.pgm is the second file of id001 in sorted order
+    assert captured.err.startswith(
+        "sigfd: error: DegenerateDescriptor: identity 'id001' sample 1: |a[1]| = ")
+    assert captured.err.endswith("no usable fundamental\n")
 
 
 def _tree_bytes(root):

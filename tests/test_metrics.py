@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sigfd import metrics
 from sigfd.errors import DegenerateInput, LengthMismatch
 from sigfd.metrics import (MEASURE_NAMES, DistanceMeasure, distance,
                            pairwise_distances)
@@ -177,3 +181,74 @@ def test_pairwise_validates_shapes_and_degeneracy():
     probes = np.vstack([np.zeros(3), np.ones(3)])
     with pytest.raises(DegenerateInput):
         pairwise_distances(DistanceMeasure("angle"), probes, np.ones((2, 3)))
+
+
+def _broadcast_reference(measure, p, g):
+    """The whole-matrix broadcast formulas of the unblocked kernel, validation left out."""
+    name = measure.name
+    if name in ("angle", "correlation"):
+        if name == "correlation":
+            p = p - p.mean(axis=1, keepdims=True)
+            g = g - g.mean(axis=1, keepdims=True)
+        np2 = np.sum(p * p, axis=1)
+        ng2 = np.sum(g * g, axis=1)
+        cos = np.sum(p[:, None, :] * g[None, :, :], axis=2) / np.sqrt(np.outer(np2, ng2))
+        return -np.clip(cos, -1.0, 1.0)
+    diff = np.abs(p[:, None, :] - g[None, :, :])
+    if name == "minkowski":
+        top = diff.max(axis=2)
+        top = np.where(top > 0.0, top, 1.0)
+        return top * np.sum((diff / top[:, :, None]) ** measure.p, axis=2) ** (1.0 / measure.p)
+    if name == "manhattan":
+        return np.sum(diff, axis=2)
+    if name == "euclidean":
+        return np.sqrt(np.sum(diff ** 2, axis=2))
+    if name == "mod-manhattan":
+        return np.sum(diff, axis=2) / np.outer(np.sum(np.abs(p), axis=1),
+                                               np.sum(np.abs(g), axis=1))
+    return np.sum(diff ** 2, axis=2) / np.outer(np.sum(p * p, axis=1), np.sum(g * g, axis=1))
+
+
+@pytest.mark.parametrize("block", [1, 3, metrics._BLOCK_ROWS])
+def test_blocked_scan_gives_the_bits_of_the_broadcast_formulas(block):
+    rng = np.random.default_rng(35)
+    measures = [DistanceMeasure("minkowski", p) for p in (0.5, 1.0, 2.0, 3.0, 7.3)]
+    measures += [DistanceMeasure(name) for name in MEASURE_NAMES if name != "minkowski"]
+    with mock.patch.object(metrics, "_BLOCK_ROWS", block):
+        for k in (1, 7, 8, 13, 64, 130):
+            for n_p, n_g in ((1, 1), (1, block + 1), (3, 7), (32, 32)):
+                # rows spread over six decades, so the per-pair scaling matters
+                probes, gallery = (rng.random((n, k)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+                                   for n in (n_p, n_g))
+                for m in measures:
+                    if m.name == "correlation" and k == 1:
+                        with pytest.raises(DegenerateInput):
+                            pairwise_distances(m, probes, gallery)
+                        continue
+                    got = pairwise_distances(m, probes, gallery)
+                    want = _broadcast_reference(m, probes, gallery)
+                    assert got.tobytes() == want.tobytes(), (m, k, n_p, n_g)
+                    one = np.float64(distance(m, probes[0], gallery[0]))
+                    assert one.tobytes() == got[0, 0].tobytes(), (m, k)
+
+
+@pytest.mark.parametrize("n_p", [1, 4])
+def test_scan_working_set_does_not_grow_with_the_gallery(n_p):
+    rng = np.random.default_rng(36)
+    k, n_g = 64, 10_000
+    probes = rng.random((n_p, k)) + 0.1
+    gallery = rng.random((n_g, k)) + 0.1
+    block = metrics._BLOCK_ROWS
+    # the tiled probes, the work buffer and one block of temporaries, plus
+    # the (P, T) result and, for the scaled measures, one sum per gallery row;
+    # a (T, k) temporary alone would be 5 MB
+    budget = 3 * n_p * block * k * 8 + (n_p + 1) * n_g * 8
+    for name in MEASURE_NAMES:
+        measure = DistanceMeasure(name)
+        tracemalloc.start()
+        try:
+            pairwise_distances(measure, probes, gallery)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (name, peak, budget)

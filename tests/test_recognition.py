@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigfd import recognition
+from sigfd import metrics, recognition
 from sigfd.descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
                               extract_features)
 from sigfd.errors import (DegenerateDescriptor, DuplicateSample, EmptyGallery,
@@ -324,7 +324,7 @@ def test_identify_ranking_ignores_template_order_and_chunking(parts, name, chunk
     forward = _gallery(rows, owners)
     shuffled = Gallery(SMALL.meta, tuple(forward.templates[i] for i in perm), SMALL.preprocess)
     expected = _brute_force_ranking(forward, measure)
-    with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(metrics, "_BLOCK_ROWS", chunk):
         assert identify(shuffled, _PROBE, measure, SMALL).ranking == expected
     assert identify(forward, _PROBE, measure, SMALL).ranking == expected
 
@@ -363,7 +363,7 @@ def test_identity_minima_are_the_same_bits_for_any_chunk_size():
         whole = recognition._identity_minima(measure, probes, rows, codes, n)
         assert whole.tobytes() == reference.tobytes(), name
         for chunk in (1, 2, 3, 7, 13, 39, 40):
-            with mock.patch.object(recognition, "_CHUNK_ROWS", chunk):
+            with mock.patch.object(metrics, "_BLOCK_ROWS", chunk):
                 got = recognition._identity_minima(measure, probes, rows, codes, n)
             assert got.tobytes() == whole.tobytes(), (name, chunk)
 
@@ -382,15 +382,16 @@ def test_matching_leaves_the_gallery_with_its_seven_fields(tiny_dataset, tiny_ga
 
 def test_identify_matches_brute_force_across_a_chunk_boundary():
     # three templates per identity, so one identity's rows straddle the
-    # first chunk boundary; its exact copy of the probe comes before the
-    # boundary, and its rows after it must not displace that minimum
+    # first block boundary of the distance scan; its exact copy of the probe
+    # comes before the boundary, and its rows after it must not displace
+    # that minimum
     per_id = 3
-    n_ids = recognition._CHUNK_ROWS // per_id + 20
+    n_ids = metrics._BLOCK_ROWS // per_id + 20
     rng = np.random.default_rng(50)
     rows = list(rng.random((n_ids * per_id, SMALL.k)) + 0.1)
     owners = [f"i{t // per_id:04d}" for t in range(len(rows))]
-    straddler = recognition._CHUNK_ROWS // per_id
-    assert straddler * per_id < recognition._CHUNK_ROWS < (straddler + 1) * per_id - 1
+    straddler = metrics._BLOCK_ROWS // per_id
+    assert straddler * per_id < metrics._BLOCK_ROWS < (straddler + 1) * per_id - 1
     rows[straddler * per_id] = _PROBE_MAGS
     gallery = _gallery(rows, owners)
     for name in ("manhattan", "correlation"):
@@ -398,6 +399,31 @@ def test_identify_matches_brute_force_across_a_chunk_boundary():
         assert result.ranking == _brute_force_ranking(gallery, DistanceMeasure(name))
         assert result.identity == f"i{straddler:04d}"
     assert verify(gallery, f"i{straddler:04d}", _PROBE, MANHATTAN, 0.0, SMALL).distance == 0.0
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_identify_ranks_thousands_of_identities_by_distance_then_name(tied):
+    # 2,500 identities of one or two templates; with `tied`, a third of them
+    # share one of 40 pooled rows, so many distances tie exactly and the
+    # ranking needs the stable re-sort, while without it every distance
+    # differs and the default sort alone decides
+    rng = np.random.default_rng(53)
+    n_ids = 2500
+    rows = rng.random((n_ids, SMALL.k)) + 0.1
+    if tied:
+        pool = rng.random((40, SMALL.k)) + 0.1
+        shared = rng.choice(n_ids, n_ids // 3, replace=False)
+        rows[shared] = pool[rng.integers(0, len(pool), len(shared))]
+    owners = [f"id{i:04d}" for i in rng.permutation(n_ids)]
+    extra = rng.choice(n_ids, 500, replace=False)
+    rows = np.vstack([rows, rows[extra] + 0.5])
+    owners += [owners[i] for i in extra]
+    gallery = _gallery(rows, owners)
+    expected = _brute_force_ranking(gallery, MANHATTAN)
+    assert (len({d for _, d in expected}) < n_ids) == tied
+    result = identify(gallery, _PROBE, MANHATTAN, SMALL)
+    assert result.ranking == expected
+    assert (result.identity, result.distance) == expected[0]
 
 
 # --- synthetic generation --------------------------------------------------------
@@ -521,7 +547,7 @@ def test_evaluate_peak_memory_does_not_grow_with_the_dataset():
 def test_evaluate_stops_at_a_blank_sample(tiny_dataset):
     dataset = {label: list(images) for label, images in tiny_dataset.items()}
     dataset["id001"][2] = GrayImage(np.full((SYNTH_CANVAS, SYNTH_CANVAS), 255, dtype=np.uint8))
-    with pytest.raises(DegenerateDescriptor):
+    with pytest.raises(DegenerateDescriptor, match=r"^identity 'id001' sample 2: \|a\[1\]\|"):
         evaluate(dataset, [MANHATTAN], [WaveletFamily.HAAR, WaveletFamily.SYM8], train_k=2)
 
 
