@@ -10,10 +10,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .descriptor import DescriptorMeta, PipelineConfig
+from .descriptor import PipelineConfig
 from .errors import SigfdError
-from .imaging import (PreprocessConfig, _check_threshold, _check_window,
-                      load_image, preprocess, save_image)
+from .imaging import _check_threshold, _check_window, load_image, preprocess, save_image
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
 from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, enroll, evaluate,
                           generate_synthetic, identify, load_dataset,
@@ -126,26 +125,23 @@ def _add_measure_flags(sp) -> None:
                     help="Minkowski order (default 3)")
 
 
-def pipeline_from_args(args: argparse.Namespace, meta: DescriptorMeta | None = None,
-                       preprocess: PreprocessConfig | None = None) -> PipelineConfig:
+def pipeline_from_args(args: argparse.Namespace,
+                       stored: PipelineConfig = PipelineConfig()) -> PipelineConfig:
     """Extraction parameters from the flags.
 
-    Explicit flags win; a stored gallery's `meta` and `preprocess` supply
-    the ones not given, and the defaults of `PipelineConfig` and
-    `PreprocessConfig` fill what is left.  A flag that disagrees with the
-    gallery is caught where the config meets the gallery (`MetaMismatch`).
+    Explicit flags win and the `stored` config, a gallery's or the default
+    one, supplies the rest.  A flag that disagrees with the gallery is
+    caught where the config meets the gallery (`MetaMismatch`).
     """
-    chosen = {} if meta is None else {"family": meta.family, "levels": meta.levels, "k": meta.k}
-    for name in ("family", "levels", "k"):
-        if getattr(args, name, None) is not None:
-            chosen[name] = getattr(args, name)
+    chosen = {name: getattr(args, name) for name in ("family", "levels", "k")
+              if getattr(args, name, None) is not None}
     flags = {"median_window": args.median_window,
              "target_size": None if args.target_size is None else tuple(args.target_size),
              "slant_enabled": None if args.no_slant is None else not args.no_slant,
              "binarize_threshold": args.binarize_threshold}
-    pre = dataclasses.replace(PreprocessConfig() if preprocess is None else preprocess,
+    pre = dataclasses.replace(stored.preprocess,
                               **{name: v for name, v in flags.items() if v is not None})
-    return PipelineConfig(preprocess=pre, **chosen)
+    return dataclasses.replace(stored, preprocess=pre, **chosen)
 
 
 def measure_from_args(args: argparse.Namespace, name: str | None = None) -> DistanceMeasure:
@@ -156,8 +152,7 @@ def measure_from_args(args: argparse.Namespace, name: str | None = None) -> Dist
 def _cmd_enroll(args) -> int:
     root = Path(args.gallery)
     gallery = load_gallery(root) if (root / MANIFEST_NAME).exists() else None
-    config = (pipeline_from_args(args) if gallery is None
-              else pipeline_from_args(args, gallery.meta, gallery.preprocess))
+    config = pipeline_from_args(args, PipelineConfig() if gallery is None else gallery.config)
     samples = [(Path(path).stem, load_image(path)) for path in args.images]
     if gallery is None:
         gallery = Gallery(config.meta, preprocess=config.preprocess)
@@ -177,7 +172,7 @@ def _dump_subbands(img, config: PipelineConfig, out_dir: Path) -> None:
 def _cmd_identify(args) -> int:
     measure = measure_from_args(args)
     gallery = load_gallery(args.gallery)
-    config = pipeline_from_args(args, gallery.meta, gallery.preprocess)
+    config = pipeline_from_args(args, gallery.config)
     img = load_image(args.image)
     result = identify(gallery, img, measure, config)
     if args.dump_subbands:
@@ -189,7 +184,7 @@ def _cmd_identify(args) -> int:
 def _cmd_verify(args) -> int:
     measure = measure_from_args(args)
     gallery = load_gallery(args.gallery)
-    config = pipeline_from_args(args, gallery.meta, gallery.preprocess)
+    config = pipeline_from_args(args, gallery.config)
     img = load_image(args.image)
     result = verify(gallery, args.identity, img, measure, args.threshold, config)
     print(f"{'genuine' if result.genuine else 'forgery'} {result.distance:.6f}")

@@ -28,19 +28,20 @@ NORMALIZER_EPS = 1e-12
 class DescriptorMeta:
     """Extraction parameters a descriptor must share to be comparable."""
 
-    family: WaveletFamily | None
-    levels: int | None
+    family: WaveletFamily
+    levels: int
     k: int
 
     def __post_init__(self):
-        if not ((self.levels is None or self.levels >= 1) and self.k >= 1):
-            raise ValueError(f"need levels and k >= 1, got levels={self.levels} k={self.k}")
+        _check_family(self.family)
+        if not all(isinstance(n, int) and n >= 1 for n in (self.levels, self.k)):
+            raise ValueError(f"need integer levels and k >= 1, "
+                             f"got levels={self.levels} k={self.k}")
 
 
-def _check_savable(meta: DescriptorMeta) -> None:
-    """A saved header names the family and levels, so both must be set."""
-    if meta.family is None or meta.levels is None:
-        raise ValueError(f"meta must carry family and levels to be saved, got {meta}")
+def _check_family(family) -> None:
+    if not isinstance(family, WaveletFamily):
+        raise ValueError(f"family must be a WaveletFamily, got {family!r}")
 
 
 def _check_magnitudes(mags: np.ndarray) -> None:
@@ -87,6 +88,7 @@ class PipelineConfig:
         w, h = self.preprocess.target_size
         _check_levels(self.levels, w, h)
         _check_k(self.k, (w >> self.levels) * (h >> self.levels))
+        _check_family(self.family)
 
     @property
     def meta(self) -> DescriptorMeta:
@@ -105,9 +107,7 @@ def dft(sequence: np.ndarray) -> np.ndarray:
     return np.fft.fft(u) / n
 
 
-def normalize_descriptor(spectrum: np.ndarray, k: int,
-                         family: WaveletFamily | None = None,
-                         levels: int | None = None) -> FourierDescriptor:
+def normalize_descriptor(spectrum: np.ndarray, k: int) -> np.ndarray:
     """Retain |a[n] / a[1]| for n = 2 .. k+1.
 
     Dividing by a[1] rather than a[0] removes gain (and the phases that a
@@ -123,28 +123,22 @@ def normalize_descriptor(spectrum: np.ndarray, k: int,
         raise DegenerateDescriptor(
             f"|a[1]| = {abs(a[1]):.3e} is below {NORMALIZER_EPS:.0e}; "
             "sequence has no usable fundamental")
-    return FourierDescriptor(np.abs(a[2:k + 2] / a[1]),
-                             DescriptorMeta(family, levels, k))
+    return np.abs(a[2:k + 2] / a[1])
 
 
 def describe_each(pre: GrayImage, configs) -> list[FourierDescriptor]:
-    """`describe` under each config, converting the image to float64 once."""
+    """Approximate, transform and normalize a preprocessed image under each config."""
     plane = pre.pixels.astype(np.float64)
     out = []
     for c in configs:
         spectrum = dft(_approximate_plane(plane, c.family, c.levels).ravel())
-        out.append(normalize_descriptor(spectrum, c.k, family=c.family, levels=c.levels))
+        out.append(FourierDescriptor(normalize_descriptor(spectrum, c.k), c.meta))
     return out
 
 
-def describe(pre: GrayImage, config: PipelineConfig) -> FourierDescriptor:
-    """Approximate, transform and normalize an already-preprocessed image."""
-    return describe_each(pre, (config,))[0]
-
-
 def extract_features(img: GrayImage, config: PipelineConfig = PipelineConfig()) -> FourierDescriptor:
-    """Full chain: preprocess, then `describe`."""
-    return describe(preprocess(img, config.preprocess), config)
+    """Full chain: preprocess, then `describe_each` under the one config."""
+    return describe_each(preprocess(img, config.preprocess), (config,))[0]
 
 
 # --- descriptor files --------------------------------------------------------
@@ -160,7 +154,6 @@ def save_descriptor(fd: FourierDescriptor, path) -> None:
     bit-identical values.
     """
     meta = fd.meta
-    _check_savable(meta)
     lines = [f"{_MAGIC} {_VERSION} {meta.family.value} {meta.levels} {meta.k}"]
     lines += [repr(float(v)) for v in fd.magnitudes]
     try:

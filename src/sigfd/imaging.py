@@ -105,9 +105,16 @@ class PreprocessConfig:
 
     def __post_init__(self):
         _check_window(self.median_window)
-        tw, th = self.target_size
-        if not (_power_of_two(tw) and _power_of_two(th)):
-            raise BadTarget(f"target size must be powers of two, got {self.target_size!r}")
+        size = self.target_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 2
+                and all(isinstance(n, int) for n in size)):
+            raise ValueError(f"target size must be two ints (width, height), got {size!r}")
+        if not (_power_of_two(size[0]) and _power_of_two(size[1])):
+            raise BadTarget(f"target size must be powers of two, got {size!r}")
+        # a list would make the config unhashable and unequal to its tuple twin
+        object.__setattr__(self, "target_size", tuple(size))
+        if not isinstance(self.slant_enabled, bool):
+            raise ValueError(f"slant_enabled must be a bool, got {self.slant_enabled!r}")
         _check_threshold(self.binarize_threshold)
 
 

@@ -22,9 +22,8 @@ import numpy as np
 # by patching these module globals, so every name it looks up on this module
 # has to stay importable.
 from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                         _check_magnitudes, _check_savable, describe_each, dft,
-                         extract_features, load_descriptor,
-                         normalize_descriptor, save_descriptor)
+                         _check_magnitudes, describe_each, dft, extract_features,
+                         load_descriptor, normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
                      InsufficientSamples, IoError, MetaMismatch, SigfdError,
                      UnknownIdentity)
@@ -107,12 +106,11 @@ class Gallery:
     Keys are dictionary-encoded: template t, in enrollment order, is identity
     `names[columns[t]]` with sample id `sample_names[sample_columns[t]]` and
     row t of the read-only (count, k) `magnitudes`.  Each table is sorted and
-    holds each name once.  `preprocess` is how the templates' images were
-    preprocessed; probes must be preprocessed the same way.
+    holds each name once.  `config` is how the templates were made, from
+    preprocessing to the retained count; probes must be made the same way.
     """
 
-    meta: DescriptorMeta
-    preprocess: PreprocessConfig
+    config: PipelineConfig
     names: tuple[str, ...]
     columns: np.ndarray
     sample_names: tuple[str, ...]
@@ -127,29 +125,28 @@ class Gallery:
                 raise MetaMismatch(f"template {(t.identity, t.sample_id)!r} has meta "
                                    f"{t.descriptor.meta}, gallery has {meta}")
         mags = np.array([t.descriptor.magnitudes for t in templates], dtype=np.float64)
-        return cls._from_keys(meta, tuple(t.identity for t in templates),
+        config = PipelineConfig(meta.family, meta.levels, meta.k, preprocess)
+        return cls._from_keys(config, tuple(t.identity for t in templates),
                               tuple(t.sample_id for t in templates),
-                              mags.reshape(len(templates), meta.k), preprocess)
+                              mags.reshape(len(templates), meta.k))
 
     @classmethod
-    def _from_keys(cls, meta, identities, sample_ids, magnitudes,
-                   preprocess: PreprocessConfig = PreprocessConfig()) -> "Gallery":
+    def _from_keys(cls, config: PipelineConfig, identities, sample_ids, magnitudes) -> "Gallery":
         """A gallery from one (identity, sample id) key per template, in enrollment order."""
         names, columns = _merge_names((), _NO_CODES, identities, "identity")
         sample_names, sample_columns = _merge_names((), _NO_CODES, sample_ids, "sample_id")
-        return cls._from_columns(meta, names, columns, sample_names, sample_columns,
-                                 magnitudes, preprocess)
+        return cls._from_columns(config, names, columns, sample_names, sample_columns, magnitudes)
 
     @classmethod
-    def _from_columns(cls, meta, names, columns, sample_names, sample_columns, magnitudes,
-                      preprocess: PreprocessConfig = PreprocessConfig()) -> "Gallery":
+    def _from_columns(cls, config: PipelineConfig, names, columns, sample_names,
+                      sample_columns, magnitudes) -> "Gallery":
         """The one place a gallery is checked and built; the arrays become read-only."""
         columns = np.ascontiguousarray(columns, dtype=np.int32)
         sample_columns = np.ascontiguousarray(sample_columns, dtype=np.int32)
         mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
         count = len(columns)
-        if sample_columns.shape != (count,) or mags.shape != (count, meta.k):
-            raise ValueError(f"need {count} sample codes and rows of {meta.k}, got "
+        if sample_columns.shape != (count,) or mags.shape != (count, config.k):
+            raise ValueError(f"need {count} sample codes and rows of {config.k}, got "
                              f"{len(sample_columns)} and a matrix of shape {mags.shape}")
         _check_table(names, "identity")
         _check_table(sample_names, "sample_id")
@@ -159,15 +156,15 @@ class Gallery:
             array.flags.writeable = False
         gallery = object.__new__(cls)
         # the fields are frozen, so they are written past __setattr__
-        vars(gallery).update(meta=meta, preprocess=preprocess, names=tuple(names),
+        vars(gallery).update(config=config, names=tuple(names),
                              columns=columns, sample_names=tuple(sample_names),
                              sample_columns=sample_columns, magnitudes=mags)
         return gallery
 
     def __reduce__(self):
         # copies and pickles are rebuilt, and so re-checked, through the column constructor
-        return Gallery._from_columns, (self.meta, self.names, self.columns, self.sample_names,
-                                       self.sample_columns, self.magnitudes, self.preprocess)
+        return Gallery._from_columns, (self.config, self.names, self.columns, self.sample_names,
+                                       self.sample_columns, self.magnitudes)
 
     @property
     def identities(self) -> tuple[str, ...]:
@@ -182,17 +179,15 @@ class Gallery:
     @property
     def templates(self) -> tuple[Template, ...]:
         """The gallery as `Template` records in enrollment order, built on each access."""
-        return tuple(Template(identity, sample_id, FourierDescriptor(row, self.meta))
+        meta = self.config.meta
+        return tuple(Template(identity, sample_id, FourierDescriptor(row, meta))
                      for identity, sample_id, row
                      in zip(self.identities, self.sample_ids, self.magnitudes))
 
 
 def _check_meta(gallery: Gallery, config: PipelineConfig) -> None:
-    if config.meta != gallery.meta:
-        raise MetaMismatch(f"config meta {config.meta} != gallery meta {gallery.meta}")
-    if config.preprocess != gallery.preprocess:
-        raise MetaMismatch(f"config preprocessing {config.preprocess} != gallery "
-                           f"preprocessing {gallery.preprocess}")
+    if config != gallery.config:
+        raise MetaMismatch(f"config {config} != gallery config {gallery.config}")
 
 
 def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]],
@@ -209,8 +204,8 @@ def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]]
                                                 [s for s, _ in samples], "sample_id")
     _check_codes(names, columns, sample_names, sample_columns)
     rows = [extract_features(img, config).magnitudes for _, img in samples]
-    return Gallery._from_columns(gallery.meta, names, columns, sample_names, sample_columns,
-                                 np.vstack([gallery.magnitudes, *rows]), gallery.preprocess)
+    return Gallery._from_columns(gallery.config, names, columns, sample_names, sample_columns,
+                                 np.vstack([gallery.magnitudes, *rows]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -540,13 +535,12 @@ def save_gallery(gallery: Gallery, root) -> None:
     to MANIFEST.siggal.tmp and moved over the manifest with `os.replace`, so
     a save that fails leaves the previous gallery as it was.
     """
-    meta, pre = gallery.meta, gallery.preprocess
-    _check_savable(meta)
+    config, pre = gallery.config, gallery.config.preprocess
     # the gallery's names hold no space or newline to break a table
     tables = ["".join(f"{name}\n" for name in table).encode("ascii")
               for table in (gallery.names, gallery.sample_names)]
     threshold = "-" if pre.binarize_threshold is None else pre.binarize_threshold
-    head = (f"{_GAL_MAGIC} {_GAL_VERSION} {meta.family.value} {meta.levels} {meta.k} "
+    head = (f"{_GAL_MAGIC} {_GAL_VERSION} {config.family.value} {config.levels} {config.k} "
             f"{pre.median_window} {pre.target_size[0]} {pre.target_size[1]} "
             f"{int(pre.slant_enabled)} {threshold} {len(gallery.columns)} "
             f"{len(gallery.names)} {len(tables[0])} {len(gallery.sample_names)} "
@@ -574,7 +568,8 @@ def load_gallery(root) -> Gallery:
     A v3 manifest is read in place: the code columns and the magnitude
     matrix are views of the file's bytes, and the only Python work is per
     distinct name.  A v2 gallery holds no preprocessing and reads as the
-    default one.  A manifest holds every template; `*.sigfd` files beside
+    default one.  A header whose configuration its target cannot carry is a
+    `FormatError`.  A manifest holds every template; `*.sigfd` files beside
     it are ignored.  A v1 gallery, a manifest over one descriptor file per
     template, is no longer read: it is a `FormatError` that says to
     re-enroll from the images.
@@ -599,31 +594,38 @@ def load_gallery(root) -> Gallery:
     if len(fields) != {"v2": 6, _GAL_VERSION: 15}.get(version):
         raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
     try:
-        meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
         if version == "v2":
-            return _load_v2(meta, fields[5], data[body:])
-        return _load_v3(meta, fields[5:], data, body)
+            return _load_v2(_header_config(*fields[2:5]), fields[5], data[body:])
+        return _load_v3(_header_config(*fields[2:10]), fields[10:], data, body)
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
 
 
-def _load_v3(meta: DescriptorMeta, fields: list[str], data: bytes, at: int) -> Gallery:
-    """The v3 layout past its first five header fields; `at` is where the tables start."""
-    median, width, height, slant, threshold, *sizes = fields
-    if slant not in ("0", "1") or not all(size.isdigit() for size in sizes):
-        raise ValueError(f"bad slant flag or sizes in {' '.join(fields)!r}")
+def _header_config(family: str, levels: str, k: str, *pre: str) -> PipelineConfig:
+    """The config a header names, checked at load; a v2 header names no preprocessing."""
     try:
-        pre = PreprocessConfig(int(median), (int(width), int(height)), slant == "1",
-                               None if threshold == "-" else int(threshold))
+        preprocess = PreprocessConfig()
+        if pre:
+            median, width, height, slant, threshold = pre
+            preprocess = PreprocessConfig(int(median), (int(width), int(height)),
+                                          {"0": False, "1": True}.get(slant, slant),
+                                          None if threshold == "-" else int(threshold))
+        return PipelineConfig(WaveletFamily.parse(family), int(levels), int(k), preprocess)
     except SigfdError as exc:
-        raise ValueError(f"bad preprocessing: {exc}") from exc
+        raise ValueError(f"bad configuration: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_v3(config: PipelineConfig, sizes: list[str], data: bytes, at: int) -> Gallery:
+    """The v3 layout past its configuration fields; `at` is where the tables start."""
+    if not all(size.isdigit() for size in sizes):
+        raise ValueError(f"bad sizes in {' '.join(sizes)!r}")
     count, n_names, name_bytes, n_samples, sample_bytes = map(int, sizes)
     codes_at = at + name_bytes + sample_bytes
     codes_at += -codes_at % 8
     payload_at = codes_at + 8 * count
-    if len(data) != payload_at + 8 * count * meta.k:
-        raise ValueError(f"{count} templates of {meta.k} magnitudes with these tables need "
-                         f"{payload_at + 8 * count * meta.k} bytes, got {len(data)}")
+    if len(data) != payload_at + 8 * count * config.k:
+        raise ValueError(f"{count} templates of {config.k} magnitudes with these tables need "
+                         f"{payload_at + 8 * count * config.k} bytes, got {len(data)}")
     if any(data[at + name_bytes + sample_bytes:codes_at]):
         raise ValueError("the padding before the codes must be zero bytes")
     names = _read_table(data[at:at + name_bytes], n_names, "identity")
@@ -631,9 +633,9 @@ def _load_v3(meta: DescriptorMeta, fields: list[str], data: bytes, at: int) -> G
                                n_samples, "sample_id")
     columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at)
     sample_columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at + 4 * count)
-    mags = np.frombuffer(data, dtype="<f8", count=count * meta.k, offset=payload_at)
-    return Gallery._from_columns(meta, names, columns, sample_names, sample_columns,
-                                 mags.reshape(count, meta.k), pre)
+    mags = np.frombuffer(data, dtype="<f8", count=count * config.k, offset=payload_at)
+    return Gallery._from_columns(config, names, columns, sample_names, sample_columns,
+                                 mags.reshape(count, config.k))
 
 
 def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:
@@ -644,7 +646,7 @@ def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _load_v2(meta: DescriptorMeta, count: str, rest: bytes) -> Gallery:
+def _load_v2(config: PipelineConfig, count: str, rest: bytes) -> Gallery:
     """The v2 layout: `count` `<identity> <sample_id>` index lines, then the payload."""
     # every index line takes at least one byte, which bounds count before
     # it sizes the split and the payload
@@ -653,13 +655,13 @@ def _load_v2(meta: DescriptorMeta, count: str, rest: bytes) -> Gallery:
     count = int(count)
     index = rest.split(b"\n", count)
     payload = index.pop()
-    if len(index) != count or len(payload) != 8 * count * meta.k:
+    if len(index) != count or len(payload) != 8 * count * config.k:
         raise ValueError(f"{count} templates need {count} index lines and "
-                         f"{8 * count * meta.k} payload bytes")
+                         f"{8 * count * config.k} payload bytes")
     keys = [line.decode("ascii").partition(" ")[::2] for line in index]
-    return Gallery._from_keys(meta, tuple(identity for identity, _ in keys),
+    return Gallery._from_keys(config, tuple(identity for identity, _ in keys),
                               tuple(sample_id for _, sample_id in keys),
-                              np.frombuffer(payload, dtype="<f8").reshape(count, meta.k))
+                              np.frombuffer(payload, dtype="<f8").reshape(count, config.k))
 
 
 def save_dataset(dataset: dict[str, list[GrayImage]], root) -> int:

@@ -10,8 +10,8 @@ def _write_v2_gallery(gallery, root) -> Path:
     enrollment order, then the count x k magnitudes as `<f8`."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    meta = gallery.meta
-    lines = [f"SIGGAL v2 {meta.family.value} {meta.levels} {meta.k} {len(gallery.identities)}"]
+    cfg = gallery.config
+    lines = [f"SIGGAL v2 {cfg.family.value} {cfg.levels} {cfg.k} {len(gallery.identities)}"]
     lines += [f"{i} {s}" for i, s in zip(gallery.identities, gallery.sample_ids)]
     (root / "MANIFEST.siggal").write_bytes(("\n".join(lines) + "\n").encode("ascii")
                                            + gallery.magnitudes.astype("<f8").tobytes())

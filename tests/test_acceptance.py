@@ -72,14 +72,14 @@ def test_criterion_3_sequence_invariances():
         n = 2 ** int(rng.integers(3, 11))
         u = rng.normal(size=n) * 50 + rng.normal() * 30
         k = int(min(64, n - 2))
-        base = normalize_descriptor(dft(u), k).magnitudes
+        base = normalize_descriptor(dft(u), k)
         variants = {
             "start shift": np.roll(u, int(rng.integers(0, n))),
             "amplitude scale": float(rng.uniform(0.1, 10.0)) * u,
             "constant offset": u + float(rng.uniform(-100.0, 100.0)),
         }
         for kind, v in variants.items():
-            dev = np.abs(normalize_descriptor(dft(v), k).magnitudes - base).max()
+            dev = np.abs(normalize_descriptor(dft(v), k) - base).max()
             worst[kind] = max(worst[kind], float(dev))
     ok = all(v < TOL_INVARIANCE for v in worst.values())
     detail = ", ".join(f"{kind} {v:.3e}" for kind, v in worst.items())

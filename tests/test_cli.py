@@ -11,6 +11,7 @@ import pytest
 from sigfd import cli
 from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
 from sigfd.descriptor import DescriptorMeta, PipelineConfig, extract_features
+from sigfd.errors import FormatError
 from sigfd.imaging import GrayImage, PreprocessConfig, load_image, save_image
 from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
 from sigfd.recognition import (Gallery, SynthSpec, generate_synthetic,
@@ -48,10 +49,11 @@ def test_cli_config_resolves_flags_and_defaults():
     config = pipeline_from_args(args)
     assert config.preprocess == PreprocessConfig(median_window=5, target_size=(128, 64))
     assert (config.family, config.levels, config.k) == (WaveletFamily.SYM8, 3, 64)
-    # a stored gallery's parameters win over the defaults
-    stored = pipeline_from_args(args, DescriptorMeta(WaveletFamily.HAAR, 2, 16))
+    # a stored gallery's parameters win over the defaults, and flags over both
+    gallery = PipelineConfig(WaveletFamily.HAAR, 2, 16, PreprocessConfig(slant_enabled=False))
+    stored = pipeline_from_args(args, gallery)
     assert stored.meta == DescriptorMeta(WaveletFamily.HAAR, 2, 16)
-    assert stored.preprocess.target_size == (128, 64)
+    assert stored.preprocess == PreprocessConfig(5, (128, 64), slant_enabled=False)
     enroll = parse(["enroll", "g", "a", "--family", "db2", "--levels", "2", "--k", "8",
                     "--no-slant", "--binarize-threshold", "100", "x.pgm"])
     config = pipeline_from_args(enroll)
@@ -250,7 +252,7 @@ def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, write_v2
     captured = capsys.readouterr()
     assert captured.out == "" and "BadLevels" in captured.err
     assert not (tmp_path / "new").exists()
-    # the same value in a stored gallery's header, v3 and v2
+    # the same value in a stored gallery's header, v3 and v2, fails at load
     good = (gallery_dir / "MANIFEST.siggal").read_bytes()
     v2 = (write_v2_gallery(load_gallery(gallery_dir), tmp_path / "v2") / "MANIFEST.siggal")
     huge = f" sym8 {levels} ".encode()
@@ -259,12 +261,14 @@ def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, write_v2
         gal = tmp_path / name
         gal.mkdir(exist_ok=True)
         (gal / "MANIFEST.siggal").write_bytes(data)
-        assert load_gallery(gal).meta.levels == int(levels)
+        with pytest.raises(FormatError, match="MANIFEST.siggal: bad configuration: BadLevels"):
+            load_gallery(gal)
         for argv in (["identify", str(gal), probe], ["verify", str(gal), "id000", "--threshold",
                                                      "1", probe]):
             assert run(argv) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and "BadLevels" in captured.err
+            assert captured.out == ""
+            assert "FormatError" in captured.err and "BadLevels" in captured.err
 
 
 @pytest.mark.parametrize("flag,value,error", [
@@ -427,7 +431,7 @@ def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, cap
         assert run(["enroll", str(gal), ident, "--no-slant",
                     str(dataset_dir / ident / "s000.pgm")]) == 0
     no_slant = PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False))
-    assert load_gallery(gal).preprocess == no_slant.preprocess
+    assert load_gallery(gal).config == no_slant
     assert (gal / "MANIFEST.siggal").read_bytes().startswith(b"SIGGAL v3 sym8 3 64 3 256 256 0 - ")
     probe = str(dataset_dir / "id001" / "s003.pgm")
     capsys.readouterr()
@@ -441,7 +445,7 @@ def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, cap
     result = identify(g, load_image(probe), manhattan, no_slant)
     assert inherited == f"{result.identity} {result.distance:.6f}\n"
     # before the preprocessing was stored, a probe without flags was deslanted
-    unstored = Gallery._from_columns(g.meta, g.names, g.columns, g.sample_names,
+    unstored = Gallery._from_columns(PipelineConfig(), g.names, g.columns, g.sample_names,
                                      g.sample_columns, g.magnitudes)
     assert identify(unstored, load_image(probe), manhattan, PipelineConfig()).distance \
         != result.distance
@@ -462,7 +466,7 @@ def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, cap
     # enroll without flags takes the stored preprocessing too
     assert run(["enroll", str(gal), "id002", new]) == 0
     g = load_gallery(gal)
-    assert g.preprocess == no_slant.preprocess
+    assert g.config == no_slant
     assert g.magnitudes[-1].tobytes() == \
         extract_features(load_image(new), no_slant).magnitudes.tobytes()
 
@@ -499,7 +503,7 @@ def test_a_v2_gallery_file_reads_and_answers_as_before(tmp_path, readme_dataset,
     assert head == b"SIGGAL v2 sym8 3 64 6"
     index, payload = rest[:66].decode().splitlines(), rest[66:]
     g = load_gallery(V2_GALLERY)
-    assert (g.meta, g.preprocess) == (PipelineConfig().meta, PreprocessConfig())
+    assert g.config == PipelineConfig()
     assert [f"{i} {s}" for i, s in zip(g.identities, g.sample_ids)] == index
     assert g.magnitudes.tobytes() == payload
     v3 = tmp_path / "v3"

@@ -10,7 +10,6 @@ from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
 from sigfd.errors import (BadLength, BadLevels, DegenerateDescriptor,
                           FormatError, IoError)
 from sigfd.imaging import GrayImage, PreprocessConfig
-from sigfd.recognition import Gallery, Template, save_gallery
 from sigfd.wavelet import WaveletFamily, dwt2_multi
 
 
@@ -47,9 +46,9 @@ def test_dft_rejects_bad_lengths():
 # --- normalization ----------------------------------------------------------------
 
 def test_normalize_worked_example():
-    fd = normalize_descriptor(np.array([5.0, 2.0, 4.0, 6.0]), 2)
-    assert np.abs(fd.magnitudes - [2.0, 3.0]).max() < 1e-12
-    assert fd.meta == DescriptorMeta(None, None, 2)
+    mags = normalize_descriptor(np.array([5.0, 2.0, 4.0, 6.0]), 2)
+    assert type(mags) is np.ndarray and mags.dtype == np.float64
+    assert np.abs(mags - [2.0, 3.0]).max() < 1e-12
 
 
 def test_normalize_k_bounds():
@@ -72,10 +71,10 @@ def test_normalize_degenerate_fundamental():
 def test_sequence_level_invariances():
     rng = np.random.default_rng(21)
     u = rng.normal(size=256) * 40 + 10
-    base = normalize_descriptor(dft(u), 32).magnitudes
-    shifted = normalize_descriptor(dft(np.roll(u, 57)), 32).magnitudes
-    scaled = normalize_descriptor(dft(3.5 * u), 32).magnitudes
-    offset = normalize_descriptor(dft(u + 250.0), 32).magnitudes
+    base = normalize_descriptor(dft(u), 32)
+    shifted = normalize_descriptor(dft(np.roll(u, 57)), 32)
+    scaled = normalize_descriptor(dft(3.5 * u), 32)
+    offset = normalize_descriptor(dft(u + 250.0), 32)
     assert np.abs(shifted - base).max() < 1e-9
     assert np.abs(scaled - base).max() < 1e-9
     assert np.abs(offset - base).max() < 1e-9
@@ -131,8 +130,8 @@ def test_extract_features_scan_start_invariance():
                                                      target_size=(64, 64)))
     dec = dwt2_multi(GrayImage(img.pixels), cfg.family, cfg.levels)
     seq = dec.approx.ravel()
-    a = normalize_descriptor(dft(seq), cfg.k).magnitudes
-    b = normalize_descriptor(dft(np.roll(seq, 3 * dec.approx.shape[1])), cfg.k).magnitudes
+    a = normalize_descriptor(dft(seq), cfg.k)
+    b = normalize_descriptor(dft(np.roll(seq, 3 * dec.approx.shape[1])), cfg.k)
     assert np.abs(a - b).max() < 1e-9
 
 
@@ -159,16 +158,11 @@ def test_descriptor_file_header_format(tmp_path):
     assert lines[1:] == ["1.0", "2.5"]
 
 
-def test_descriptor_without_meta_cannot_be_saved(tmp_path):
-    # one rule for both files that store a meta header
-    for meta in (DescriptorMeta(None, None, 2), DescriptorMeta(WaveletFamily.HAAR, None, 2),
-                 DescriptorMeta(None, 1, 2)):
-        fd = FourierDescriptor(np.array([1.0, 2.0]), meta)
-        with pytest.raises(ValueError, match="must carry family and levels to be saved"):
-            save_descriptor(fd, tmp_path / "d.sigfd")
-        with pytest.raises(ValueError, match="must carry family and levels to be saved"):
-            save_gallery(Gallery(meta, (Template("a", "s0", fd),)), tmp_path / "gal")
-    assert list(tmp_path.iterdir()) == []
+def test_descriptor_meta_always_names_a_family_and_levels():
+    # so every descriptor and gallery can be saved with a full header
+    for family, levels in ((None, None), (WaveletFamily.HAAR, None), (None, 1), ("haar", 1)):
+        with pytest.raises(ValueError):
+            DescriptorMeta(family, levels, 4)
 
 
 def test_descriptor_file_rejects_corruption(tmp_path):
@@ -200,6 +194,17 @@ def test_descriptor_file_rejects_corruption(tmp_path):
 def test_pipeline_config_meta():
     cfg = PipelineConfig(WaveletFamily.DB15, 2, 10)
     assert cfg.meta == DescriptorMeta(WaveletFamily.DB15, 2, 10)
+
+
+def test_pipeline_config_family_must_be_a_wavelet_family():
+    for family in ("sym8", None):
+        with pytest.raises(ValueError, match="WaveletFamily"):
+            PipelineConfig(family=family)
+    # levels and k are checked first, so their own errors still come out
+    with pytest.raises(BadLevels):
+        PipelineConfig(family="sym8", levels=0)
+    with pytest.raises(BadLength):
+        PipelineConfig(family="sym8", k=0)
 
 
 def test_pipeline_config_rejects_levels_the_target_cannot_halve():
@@ -296,7 +301,7 @@ def test_descriptor_file_levels_past_any_image_still_load(fd_path):
 
 
 def test_descriptor_meta_checks_its_ranges():
-    assert DescriptorMeta(None, None, 1).k == 1
+    assert DescriptorMeta(WaveletFamily.HAAR, 1, 1).k == 1
     for levels, k in ((0, 4), (-1, 4), (2, 0), (None, 0), (None, -3)):
         with pytest.raises(ValueError, match=f"levels={levels} k={k}"):
             DescriptorMeta(WaveletFamily.HAAR, levels, k)

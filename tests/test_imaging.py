@@ -741,6 +741,25 @@ def test_preprocess_config_validation():
         PreprocessConfig(binarize_threshold=999)
 
 
+def test_preprocess_config_slant_flag_must_be_a_bool():
+    # "no" is truthy, and would switch deslanting on
+    for flag in ("no", 0, None):
+        with pytest.raises(ValueError, match="slant_enabled"):
+            PreprocessConfig(slant_enabled=flag)
+
+
+def test_preprocess_config_target_size_is_two_ints_kept_as_a_tuple():
+    config = PreprocessConfig(target_size=[128, 64])
+    assert config.target_size == (128, 64) and config == PreprocessConfig(target_size=(128, 64))
+    assert hash(config) == hash(PreprocessConfig(target_size=(128, 64)))
+    for size in ((128.0, 64), (128, 64, 1), 128, "ab", (True, 64.5)):
+        with pytest.raises(ValueError, match="target size"):
+            PreprocessConfig(target_size=size)
+    # the type is checked before the geometry, which keeps its own error
+    with pytest.raises(BadTarget):
+        PreprocessConfig(target_size=[100, 64])
+
+
 # SHA-256 of the pixels `preprocess` makes of 16 scrawls from the benchmark's
 # generator at seed 0, at the default target and at 128x64.  A change that
 # moves any preprocessed pixel changes it, and has to show its pixel diff and

@@ -1,9 +1,11 @@
 import collections
 import contextlib
 import copy
+import dataclasses
 import math
 import os
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -118,7 +120,7 @@ _OUT_OF_RANGE = (np.nan, -1.0, np.inf)
 def test_gallery_constructor_enforces_invariants(tiny_gallery):
     t = tiny_gallery.templates[0]
     with pytest.raises(DuplicateSample):
-        Gallery(tiny_gallery.meta, (t, t))
+        Gallery(CFG.meta, (t, t))
     with pytest.raises(MetaMismatch):
         Gallery(DescriptorMeta(WaveletFamily.HAAR, 1, 64), (t,))
     # a row of another length comes with another k, which is a meta mismatch
@@ -137,25 +139,25 @@ def test_gallery_constructor_enforces_invariants(tiny_gallery):
 
 def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
     g = tiny_gallery
-    keys = (g.meta, g.identities, g.sample_ids, g.magnitudes)
+    keys = (g.config, g.identities, g.sample_ids, g.magnitudes)
     assert Gallery._from_keys(*keys).names == g.names
-    columns = (g.meta, g.names, g.columns, g.sample_names, g.sample_columns, g.magnitudes)
+    columns = (g.config, g.names, g.columns, g.sample_names, g.sample_columns, g.magnitudes)
     _assert_same_gallery(Gallery._from_columns(*columns), g)
     with pytest.raises(DuplicateSample):
-        Gallery._from_keys(g.meta, g.identities[:2] + ("id000",),
+        Gallery._from_keys(g.config, g.identities[:2] + ("id000",),
                            g.sample_ids[:2] + ("s0",), g.magnitudes[:3])
     with pytest.raises(DuplicateSample, match="'id001', 's0'"):
-        Gallery._from_columns(g.meta, g.names, [0, 1, 2, 0, 1, 2], g.sample_names,
+        Gallery._from_columns(g.config, g.names, [0, 1, 2, 0, 1, 2], g.sample_names,
                               [0, 0, 0, 1, 0, 1], g.magnitudes)
     for value in _OUT_OF_RANGE:
         mags = g.magnitudes.copy()
         mags[-1, 0] = value
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            Gallery._from_keys(g.meta, g.identities, g.sample_ids, mags)
+            Gallery._from_keys(g.config, g.identities, g.sample_ids, mags)
     wide = np.hstack([g.magnitudes, g.magnitudes[:, :1]])
-    for bad in ((g.meta, g.identities, g.sample_ids, wide),
-                (g.meta, g.identities, g.sample_ids[:-1], g.magnitudes),
-                (g.meta, g.identities, g.sample_ids, g.magnitudes[:-1])):
+    for bad in ((g.config, g.identities, g.sample_ids, wide),
+                (g.config, g.identities, g.sample_ids[:-1], g.magnitudes),
+                (g.config, g.identities, g.sample_ids, g.magnitudes[:-1])):
         with pytest.raises(ValueError, match="need"):
             Gallery._from_keys(*bad)
     # tables are sorted and used, and codes name table entries
@@ -166,7 +168,7 @@ def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
                        ((g.names, codes[:-1] + [3]), r"codes must lie in \[0, 3\)"),
                        ((g.names, codes[:-1] + [-1]), r"codes must lie in \[0, 3\)")):
         with pytest.raises(ValueError, match=match):
-            Gallery._from_columns(g.meta, *bad, g.sample_names, g.sample_columns, g.magnitudes)
+            Gallery._from_columns(g.config, *bad, g.sample_names, g.sample_columns, g.magnitudes)
     # enroll is the column constructor's public caller; its meta must match
     with pytest.raises(MetaMismatch):
         enroll(g, "new", [("s0", tiny_dataset["id000"][0])],
@@ -174,7 +176,7 @@ def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
 
 
 def test_gallery_is_immutable(tiny_gallery):
-    for field in ("meta", "preprocess", "names", "columns", "sample_names", "sample_columns",
+    for field in ("config", "names", "columns", "sample_names", "sample_columns",
                   "magnitudes", "identities", "sample_ids", "templates", "extra"):
         with pytest.raises(AttributeError):
             setattr(tiny_gallery, field, None)
@@ -246,19 +248,21 @@ def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_datase
     img = tiny_dataset["id000"][0]
     gallery = enroll(Gallery(CFG.meta, preprocess=no_slant.preprocess), "a", [("s0", img)],
                      no_slant)
-    assert gallery.preprocess == no_slant.preprocess
+    assert gallery.config == no_slant
     assert gallery.magnitudes.tobytes() == extract_features(img, no_slant).magnitudes.tobytes()
     assert identify(gallery, img, MANHATTAN, no_slant).distance == 0.0
     for config in (CFG, PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False,
                                                                    median_window=5))):
-        with pytest.raises(MetaMismatch, match="preprocessing"):
+        # one message that shows both whole configs
+        message = re.escape(f"config {config} != gallery config {no_slant}")
+        with pytest.raises(MetaMismatch, match=message):
             identify(gallery, img, MANHATTAN, config)
-        with pytest.raises(MetaMismatch, match="preprocessing"):
+        with pytest.raises(MetaMismatch, match=message):
             verify(gallery, "a", img, MANHATTAN, 1.0, config)
-        with pytest.raises(MetaMismatch, match="preprocessing"):
+        with pytest.raises(MetaMismatch, match=message):
             enroll(gallery, "b", [("s0", img)], config)
     # a gallery built without naming its preprocessing holds the default one
-    assert Gallery(CFG.meta).preprocess == PreprocessConfig()
+    assert Gallery(CFG.meta).config == CFG
 
 
 def test_verify_accepts_and_rejects(tiny_dataset, tiny_gallery):
@@ -368,9 +372,8 @@ def test_identity_minima_are_the_same_bits_for_any_chunk_size():
             assert got.tobytes() == whole.tobytes(), (name, chunk)
 
 
-def test_matching_leaves_the_gallery_with_its_seven_fields(tiny_dataset, tiny_gallery):
-    fields = {"meta", "preprocess", "names", "columns", "sample_names", "sample_columns",
-              "magnitudes"}
+def test_matching_leaves_the_gallery_with_its_six_fields(tiny_dataset, tiny_gallery):
+    fields = {"config", "names", "columns", "sample_names", "sample_columns", "magnitudes"}
     probe = tiny_dataset["id001"][3]
     gallery = copy.deepcopy(tiny_gallery)
     assert set(vars(gallery)) == fields
@@ -605,9 +608,8 @@ def test_report_validates_shape_and_range():
 # --- persistence ------------------------------------------------------------------
 
 def _assert_same_gallery(got, want):
-    """Same meta and preprocessing, same keys in the same order, bit-identical magnitudes."""
-    assert got.meta == want.meta
-    assert got.preprocess == want.preprocess
+    """Same config, same keys in the same order, bit-identical magnitudes."""
+    assert got.config == want.config
     assert [(t.identity, t.sample_id) for t in got.templates] == \
         [(t.identity, t.sample_id) for t in want.templates]
     assert [t.descriptor.magnitudes.tobytes() for t in got.templates] == \
@@ -717,6 +719,26 @@ def test_gallery_load_errors(tmp_path, tiny_gallery):
             load_gallery(root2)
 
 
+def test_a_header_its_target_cannot_carry_is_a_format_error_at_load(tmp_path, tiny_gallery,
+                                                                   write_v2_gallery):
+    save_gallery(tiny_gallery, tmp_path / "v3")
+    write_v2_gallery(tiny_gallery, tmp_path / "v2")
+    # each edit keeps the header's length, so the tables and payload stay in place:
+    # 256 halves 8 times, an 8x8 plane cannot hold k = 64, and 4 does not halve 3 times
+    edits = [(b" sym8 3 64 ", b" sym8 9 64 ", "bad configuration: BadLevels: "),
+             (b" sym8 3 64 ", b" sym8 5 64 ", "bad configuration: BadLength: ")]
+    v3_only = [(b" 256 256 ", b" 256 004 ", "bad configuration: BadLevels: "),
+               (b" 256 256 1 ", b" 256 256 2 ", "slant_enabled must be a bool, got '2'")]
+    for version, more in (("v3", v3_only), ("v2", [])):
+        manifest = tmp_path / version / "MANIFEST.siggal"
+        good = manifest.read_bytes()
+        _assert_same_gallery(load_gallery(manifest.parent), tiny_gallery)
+        for old, new, error in edits + more:
+            manifest.write_bytes(good.replace(old, new, 1))
+            with pytest.raises(FormatError, match=f"MANIFEST.siggal: {error}"):
+                load_gallery(manifest.parent)
+
+
 def test_gallery_load_errors_v1(tmp_path, tiny_gallery):
     # v1 galleries are not read, whether or not their header is well formed
     root = tmp_path / "gal"
@@ -741,7 +763,7 @@ def test_save_gallery_rejects_bad_names_before_writing(tmp_path, tiny_gallery):
         for what, template in (("sample_id", Template("id000", bad, fd)),
                                ("identity", Template(bad, "s0", fd))):
             with pytest.raises(ValueError, match=what):
-                save_gallery(Gallery(tiny_gallery.meta, (template,)), tmp_path / "never")
+                save_gallery(Gallery(CFG.meta, (template,)), tmp_path / "never")
     assert not (tmp_path / "never").exists()
 
 
@@ -751,26 +773,26 @@ def test_gallery_owns_its_names(tiny_gallery):
         for what, template in (("sample_id", Template("id000", bad, fd)),
                                ("identity", Template(bad, "s0", fd))):
             with pytest.raises(ValueError, match=what):
-                Gallery(tiny_gallery.meta, (tiny_gallery.templates[0], template))
+                Gallery(CFG.meta, (tiny_gallery.templates[0], template))
     # a non-string next to strings is a ValueError, not a failed sort
     with pytest.raises(ValueError, match="identity"):
-        Gallery._from_keys(_FUZZ_META, ("ann", 5), ("s0", "s0"), np.ones((2, 4)))
+        Gallery._from_keys(_FUZZ_CONFIG, ("ann", 5), ("s0", "s0"), np.ones((2, 4)))
     # the first bad name in enrollment order is the one reported
     with pytest.raises(ValueError, match="'-b'"):
-        Gallery._from_keys(_FUZZ_META, ("a", "-b", "a", ".c"), ("s0", "s1", "s2", "s3"),
+        Gallery._from_keys(_FUZZ_CONFIG, ("a", "-b", "a", ".c"), ("s0", "s1", "s2", "s3"),
                            np.ones((4, 4)))
     # names are checked before duplicates
     with pytest.raises(ValueError, match="sample_id"):
-        Gallery._from_keys(_FUZZ_META, ("a", "a", "a"), ("s0", "s0", "s 1"), np.ones((3, 4)))
+        Gallery._from_keys(_FUZZ_CONFIG, ("a", "a", "a"), ("s0", "s0", "s 1"), np.ones((3, 4)))
     # the column constructor checks its tables' names too
     with pytest.raises(ValueError, match="sample_id"):
-        Gallery._from_columns(_FUZZ_META, ("a",), [0], ("s 1",), [0], np.ones((1, 4)))
+        Gallery._from_columns(_FUZZ_CONFIG, ("a",), [0], ("s 1",), [0], np.ones((1, 4)))
 
 
 def test_load_and_save_check_each_distinct_name_once(tmp_path):
     identities = tuple(f"id{i % 100:03d}" for i in range(1000))
     sample_ids = tuple(f"s{i // 100}" for i in range(1000))
-    gallery = Gallery._from_keys(_FUZZ_META, identities, sample_ids, np.ones((1000, 4)))
+    gallery = Gallery._from_keys(_FUZZ_CONFIG, identities, sample_ids, np.ones((1000, 4)))
     with mock.patch.object(recognition, "_check_name",
                            wraps=recognition._check_name) as check:
         save_gallery(gallery, tmp_path / "gal")
@@ -821,7 +843,8 @@ def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_ga
 
 
 # A three-template gallery with k = 4 keeps every truncation point cheap.
-_FUZZ_META = DescriptorMeta(WaveletFamily.HAAR, 2, 4)
+_FUZZ_CONFIG = PipelineConfig(WaveletFamily.HAAR, 2, 4)
+_FUZZ_META = _FUZZ_CONFIG.meta
 
 
 def _fuzz_gallery() -> Gallery:
@@ -1025,13 +1048,13 @@ def test_v3_round_trip_keeps_columns_names_magnitudes_and_preprocessing(tmp_path
                                                                          keys, pre, data):
     rows = data.draw(st.lists(st.lists(_MAGNITUDE, min_size=4, max_size=4),
                               min_size=len(keys), max_size=len(keys)))
-    built = Gallery._from_keys(_FUZZ_META, tuple(i for i, _ in keys),
-                               tuple(s for _, s in keys),
-                               np.array(rows, dtype=np.float64).reshape(len(keys), 4), pre)
+    config = dataclasses.replace(_FUZZ_CONFIG, preprocess=pre)
+    built = Gallery._from_keys(config, tuple(i for i, _ in keys), tuple(s for _, s in keys),
+                               np.array(rows, dtype=np.float64).reshape(len(keys), 4))
     root = tmp_path_factory.mktemp("v3")
     save_gallery(built, root)
     back = load_gallery(root)
-    assert (back.meta, back.preprocess) == (_FUZZ_META, pre)
+    assert back.config == config
     assert (back.names, back.sample_names) == (built.names, built.sample_names)
     assert back.columns.tobytes() == built.columns.tobytes()
     assert back.sample_columns.tobytes() == built.sample_columns.tobytes()
