@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .descriptor import PipelineConfig
 from .errors import SigfdError
-from .imaging import _check_threshold, _check_window, load_image, preprocess, save_image
+from .imaging import (_check_threshold, _check_window, _power_of_two, load_image, preprocess,
+                      save_image)
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
 from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, enroll, evaluate,
                           generate_synthetic, identify, load_dataset,
@@ -68,7 +69,7 @@ def _odd_int(text: str) -> int:
 
 def _pow2_int(text: str) -> int:
     value = int(text)
-    if value < 1 or value & (value - 1):
+    if not _power_of_two(value):
         raise argparse.ArgumentTypeError(f"{value} is not a power of two")
     return value
 
@@ -271,8 +272,8 @@ def _evaluate_args(sp) -> None:
                     help="templates per identity (default 12)")
     sp.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
     sp.add_argument("--minkowski-p", type=float, default=DEFAULT_MINKOWSKI_P, metavar="P")
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--k", type=int, default=64)
+    sp.add_argument("--levels", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None)
     _add_preprocess_flags(sp, gallery=False)
     sp.add_argument("--out", metavar="FILE", default=None,
                     help="write the CSV here instead of stdout")

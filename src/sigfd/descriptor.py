@@ -126,19 +126,17 @@ def normalize_descriptor(spectrum: np.ndarray, k: int) -> np.ndarray:
     return np.abs(a[2:k + 2] / a[1])
 
 
-def describe_each(pre: GrayImage, configs) -> list[FourierDescriptor]:
-    """Approximate, transform and normalize a preprocessed image under each config."""
+def describe_each(pre: GrayImage, configs) -> list[np.ndarray]:
+    """The magnitudes of a preprocessed image under each config, one row per config."""
     plane = pre.pixels.astype(np.float64)
-    out = []
-    for c in configs:
-        spectrum = dft(_approximate_plane(plane, c.family, c.levels).ravel())
-        out.append(FourierDescriptor(normalize_descriptor(spectrum, c.k), c.meta))
-    return out
+    return [normalize_descriptor(dft(_approximate_plane(plane, c.family, c.levels).ravel()), c.k)
+            for c in configs]
 
 
 def extract_features(img: GrayImage, config: PipelineConfig = PipelineConfig()) -> FourierDescriptor:
     """Full chain: preprocess, then `describe_each` under the one config."""
-    return describe_each(preprocess(img, config.preprocess), (config,))[0]
+    (mags,) = describe_each(preprocess(img, config.preprocess), (config,))
+    return FourierDescriptor(mags, config.meta)
 
 
 # --- descriptor files --------------------------------------------------------

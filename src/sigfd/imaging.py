@@ -52,29 +52,6 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ForegroundMask:
-    """Boolean ink map; True marks foreground.
-
-    `degenerate` is set when the source image was constant, in which case
-    the mask is all background and downstream steps that need ink should
-    be skipped rather than fed an arbitrary threshold.
-    """
-
-    bits: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.ndim != 2:
-            raise ValueError("mask must be 2-D")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-
 def _power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -247,31 +224,32 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     return int(np.argmax(var)) + 1
 
 
-def binarize(img: GrayImage, threshold: int | None = None) -> ForegroundMask:
-    """Ink mask: pixel < threshold.  threshold=None selects Otsu's.
+def binarize(img: GrayImage, threshold: int | None = None) -> np.ndarray:
+    """2-D bool ink mask: pixel < threshold.  threshold=None selects Otsu's.
 
     A constant image has no ink/paper separation under any threshold, so
-    it yields an all-background mask flagged degenerate instead of an
-    arbitrary split.
+    it yields an all-False mask instead of an arbitrary split.
     """
     _check_threshold(threshold)
     px = img.pixels
     if px.min() == px.max():
-        return ForegroundMask(np.zeros(px.shape, dtype=bool), degenerate=True)
+        return np.zeros(px.shape, dtype=bool)
     if threshold is None:
         threshold = otsu_threshold(px)
-    return ForegroundMask(px < threshold)
+    return px < threshold
 
 
 # --- geometry ---------------------------------------------------------------
 
-def estimate_orientation(mask: ForegroundMask) -> float:
-    """Dominant axis angle of the foreground, radians in (-pi/2, pi/2].
+def estimate_orientation(mask: np.ndarray) -> float:
+    """Dominant axis angle of a 2-D ink mask's nonzero pixels, radians in (-pi/2, pi/2].
 
     Positive angles lean toward increasing row for increasing column.
     Isotropic foregrounds report 0.
     """
-    ys, xs = np.divmod(np.flatnonzero(mask.bits), mask.bits.shape[1])
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+    ys, xs = np.divmod(np.flatnonzero(mask), mask.shape[1])
     if xs.size < 2:
         raise TooFewPixels(f"orientation needs >= 2 foreground pixels, got {xs.size}")
     x = xs - xs.mean()
@@ -427,8 +405,7 @@ def preprocess(img: GrayImage, config: PreprocessConfig = PreprocessConfig()) ->
     out = median_filter(img, config.median_window)
     if config.slant_enabled:
         mask = binarize(out, config.binarize_threshold)
-        # a degenerate mask is all background, so its count is 0
-        if mask.count >= 2:
+        if np.count_nonzero(mask) >= 2:
             theta = estimate_orientation(mask)
             if theta != 0.0:
                 out = rotate(out, -theta)

@@ -63,13 +63,6 @@ def _merge_names(table: tuple[str, ...], codes: np.ndarray, labels, what: str):
     return merged, np.concatenate([remap[codes], added])
 
 
-def _check_table(table: tuple[str, ...], what: str) -> None:
-    for name in table:
-        _check_name(name, what)
-    if any(a >= b for a, b in itertools.pairwise(table)):
-        raise ValueError(f"the {what} table must be strictly increasing")
-
-
 def _check_codes(names, columns: np.ndarray, sample_names, sample_columns: np.ndarray) -> None:
     """Every code names a table entry, every entry is used, and no key is repeated.
 
@@ -140,7 +133,9 @@ class Gallery:
     @classmethod
     def _from_columns(cls, config: PipelineConfig, names, columns, sample_names,
                       sample_columns, magnitudes) -> "Gallery":
-        """The one place a gallery is checked and built; the arrays become read-only."""
+        """The one place a gallery is built; the arrays become read-only.
+
+        The callers check the name tables: `_merge_names` or `_read_table`."""
         columns = np.ascontiguousarray(columns, dtype=np.int32)
         sample_columns = np.ascontiguousarray(sample_columns, dtype=np.int32)
         mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
@@ -148,8 +143,6 @@ class Gallery:
         if sample_columns.shape != (count,) or mags.shape != (count, config.k):
             raise ValueError(f"need {count} sample codes and rows of {config.k}, got "
                              f"{len(sample_columns)} and a matrix of shape {mags.shape}")
-        _check_table(names, "identity")
-        _check_table(sample_names, "sample_id")
         _check_magnitudes(mags)
         _check_codes(names, columns, sample_names, sample_columns)
         for array in (columns, sample_columns, mags):
@@ -162,9 +155,9 @@ class Gallery:
         return gallery
 
     def __reduce__(self):
-        # copies and pickles are rebuilt, and so re-checked, through the column constructor
-        return Gallery._from_columns, (self.config, self.names, self.columns, self.sample_names,
-                                       self.sample_columns, self.magnitudes)
+        # copies and pickles are rebuilt, and so re-checked, from their keys
+        return Gallery._from_keys, (self.config, self.identities, self.sample_ids,
+                                    self.magnitudes)
 
     @property
     def identities(self) -> tuple[str, ...]:
@@ -493,10 +486,9 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     for label in labels:
         for sample, img in enumerate(dataset[label]):
             try:
-                descriptors = describe_each(preprocess(img, config.preprocess), configs)
+                feats[:, row] = describe_each(preprocess(img, config.preprocess), configs)
             except SigfdError as exc:
                 raise type(exc)(f"identity {label!r} sample {sample}: {exc}") from exc
-            feats[:, row] = [fd.magnitudes for fd in descriptors]
             row += 1
 
     rates = np.zeros((len(measures), len(families)))
@@ -639,10 +631,15 @@ def _load_v3(config: PipelineConfig, sizes: list[str], data: bytes, at: int) -> 
 
 
 def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:
+    """`n` newline-terminated names, each checked, in strictly increasing order."""
     names = raw.decode("ascii").split("\n")
     if names.pop() or len(names) != n:
         raise ValueError(f"the {what} table needs {n} newline-terminated names "
                          f"in {len(raw)} bytes")
+    for name in names:
+        _check_name(name, what)
+    if any(a >= b for a, b in itertools.pairwise(names)):
+        raise ValueError(f"the {what} table must be strictly increasing")
     return tuple(names)
 
 

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
-                              PipelineConfig, dft, extract_features,
-                              load_descriptor, normalize_descriptor,
-                              save_descriptor)
+                              PipelineConfig, describe_each, dft,
+                              extract_features, load_descriptor,
+                              normalize_descriptor, save_descriptor)
 from sigfd.errors import (BadLength, BadLevels, DegenerateDescriptor,
                           FormatError, IoError)
-from sigfd.imaging import GrayImage, PreprocessConfig
+from sigfd.imaging import GrayImage, PreprocessConfig, preprocess
 from sigfd.wavelet import WaveletFamily, dwt2_multi
 
 
@@ -100,6 +100,18 @@ def test_extract_features_shape_and_meta():
     fd = extract_features(img)
     assert fd.magnitudes.shape == (64,)
     assert fd.meta == DescriptorMeta(WaveletFamily.SYM8, 3, 64)
+
+
+def test_describe_each_rows_are_extract_features_magnitudes():
+    rng = np.random.default_rng(25)
+    img = GrayImage(rng.integers(0, 256, size=(96, 80), dtype=np.uint8))
+    pre = PreprocessConfig(target_size=(64, 64))
+    configs = [PipelineConfig(family, 2, 16, pre) for family in WaveletFamily]
+    rows = describe_each(preprocess(img, pre), configs)
+    assert len(rows) == len(configs) == 5
+    for row, config in zip(rows, configs):
+        assert row.dtype == np.float64
+        assert row.tobytes() == extract_features(img, config).magnitudes.tobytes()
 
 
 def test_extract_features_blank_page_is_degenerate():

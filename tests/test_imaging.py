@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from sigfd import imaging
 from sigfd.errors import (BadTarget, BadWindow, FormatError, IoError,
                           TooFewPixels)
-from sigfd.imaging import (BACKGROUND, ForegroundMask, GrayImage,
-                           PreprocessConfig, _sample_bilinear, binarize,
-                           estimate_orientation, load_image, median_filter,
-                           otsu_threshold, preprocess, rotate, save_image,
-                           scale_normalize, warp_similarity)
+from sigfd.imaging import (BACKGROUND, GrayImage, PreprocessConfig,
+                           _sample_bilinear, binarize, estimate_orientation,
+                           load_image, median_filter, otsu_threshold,
+                           preprocess, rotate, save_image, scale_normalize,
+                           warp_similarity)
 
 
 def test_gray_image_validates_shape():
@@ -249,8 +249,8 @@ def test_otsu_two_class_image():
     assert 20 < t <= 230
     assert t == _otsu_oracle(px)
     mask = binarize(GrayImage(px))
-    assert mask.count == 100
-    assert not mask.degenerate
+    assert np.count_nonzero(mask) == 100
+    assert np.array_equal(mask, px < t)
 
 
 def test_otsu_matches_oracle_on_random_images():
@@ -263,16 +263,16 @@ def test_otsu_matches_oracle_on_random_images():
 def test_binarize_constant_image_is_degenerate():
     img = GrayImage(np.full((8, 8), 77, dtype=np.uint8))
     mask = binarize(img)
-    assert mask.degenerate
-    assert mask.count == 0
-    # an explicit threshold does not rescue a constant image
-    assert binarize(img, threshold=100).degenerate
+    assert mask.dtype == bool and mask.shape == (8, 8)
+    assert not mask.any()
+    # an explicit threshold above the constant does not rescue it
+    assert not binarize(img, threshold=100).any()
 
 
 def test_binarize_explicit_threshold():
     px = np.array([[10, 200], [90, 250]], dtype=np.uint8)
     mask = binarize(GrayImage(px), threshold=100)
-    assert np.array_equal(mask.bits, px < 100)
+    assert np.array_equal(mask, px < 100)
     # the threshold is checked before a constant image returns early
     for img in (GrayImage(px), GrayImage(np.full((4, 4), 77, dtype=np.uint8))):
         for bad in (300, 256, -1, 1.5):
@@ -286,7 +286,7 @@ def _mask_from_points(shape, points):
     bits = np.zeros(shape, dtype=bool)
     for r, c in points:
         bits[r, c] = True
-    return ForegroundMask(bits)
+    return bits
 
 
 def test_orientation_horizontal_is_zero():
@@ -309,14 +309,19 @@ def test_orientation_diagonals():
 def test_orientation_isotropic_is_zero():
     bits = np.zeros((10, 10), dtype=bool)
     bits[2:8, 2:8] = True
-    assert estimate_orientation(ForegroundMask(bits)) == 0.0
+    assert estimate_orientation(bits) == 0.0
 
 
 def test_orientation_needs_two_pixels():
     with pytest.raises(TooFewPixels):
         estimate_orientation(_mask_from_points((4, 4), [(1, 1)]))
     with pytest.raises(TooFewPixels):
-        estimate_orientation(ForegroundMask(np.zeros((4, 4), dtype=bool)))
+        estimate_orientation(np.zeros((4, 4), dtype=bool))
+
+
+def test_orientation_needs_a_2d_mask():
+    with pytest.raises(ValueError, match="2-D"):
+        estimate_orientation(np.ones(5, dtype=bool))
 
 
 # --- rotation ---------------------------------------------------------------------
@@ -687,12 +692,11 @@ def test_otsu_and_orientation_equal_their_full_frame_references(px, threshold):
     # pixel, in C order and as a transposed view
     bits = px < threshold if threshold < 256 else px != BACKGROUND
     for view in (bits, bits.T):
-        mask = ForegroundMask(view)
-        if mask.count < 2:
+        if np.count_nonzero(view) < 2:
             with pytest.raises(TooFewPixels):
-                estimate_orientation(mask)
+                estimate_orientation(view)
         else:
-            assert estimate_orientation(mask) == _orientation_nonzero_reference(view)
+            assert estimate_orientation(view) == _orientation_nonzero_reference(view)
 
 
 # --- preprocess chain ----------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_gallery_constructor_enforces_invariants(tiny_gallery):
             Gallery(CFG.meta, (t, Template("id000", "late", fd)))
 
 
-def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
+def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery, fuzz_v3):
     g = tiny_gallery
     keys = (g.config, g.identities, g.sample_ids, g.magnitudes)
     assert Gallery._from_keys(*keys).names == g.names
@@ -160,15 +160,17 @@ def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery):
                 (g.config, g.identities, g.sample_ids, g.magnitudes[:-1])):
         with pytest.raises(ValueError, match="need"):
             Gallery._from_keys(*bad)
-    # tables are sorted and used, and codes name table entries
+    # tables are used, and codes name table entries
     codes = g.columns.tolist()
-    for bad, match in (((g.names[::-1], codes), "strictly increasing"),
-                       ((g.names[:1] + g.names, [c + 1 for c in codes]), "strictly increasing"),
-                       ((g.names + ("zz",), codes), "no template has"),
+    for bad, match in (((g.names + ("zz",), codes), "no template has"),
                        ((g.names, codes[:-1] + [3]), r"codes must lie in \[0, 3\)"),
                        ((g.names, codes[:-1] + [-1]), r"codes must lie in \[0, 3\)")):
         with pytest.raises(ValueError, match=match):
             Gallery._from_columns(g.config, *bad, g.sample_names, g.sample_columns, g.magnitudes)
+    # tables are sorted: a table read from a file is checked as it is read
+    for names, columns in ((b"bo\nann\n", (0, 0, 1)), (b"ann\nann\nbo\n", (1, 1, 2))):
+        with pytest.raises(FormatError, match="strictly increasing"):
+            _load_manifest(fuzz_v3[0], _v3(names=names, columns=columns))
     # enroll is the column constructor's public caller; its meta must match
     with pytest.raises(MetaMismatch):
         enroll(g, "new", [("s0", tiny_dataset["id000"][0])],
@@ -767,7 +769,7 @@ def test_save_gallery_rejects_bad_names_before_writing(tmp_path, tiny_gallery):
     assert not (tmp_path / "never").exists()
 
 
-def test_gallery_owns_its_names(tiny_gallery):
+def test_gallery_owns_its_names(tiny_gallery, fuzz_v3):
     fd = tiny_gallery.templates[0].descriptor
     for bad in _BAD_NAMES + (7, None):
         for what, template in (("sample_id", Template("id000", bad, fd)),
@@ -784,12 +786,12 @@ def test_gallery_owns_its_names(tiny_gallery):
     # names are checked before duplicates
     with pytest.raises(ValueError, match="sample_id"):
         Gallery._from_keys(_FUZZ_CONFIG, ("a", "a", "a"), ("s0", "s0", "s 1"), np.ones((3, 4)))
-    # the column constructor checks its tables' names too
-    with pytest.raises(ValueError, match="sample_id"):
-        Gallery._from_columns(_FUZZ_CONFIG, ("a",), [0], ("s 1",), [0], np.ones((1, 4)))
+    # a table read from a file has its names checked too
+    with pytest.raises(FormatError, match="sample_id"):
+        _load_manifest(fuzz_v3[0], _v3(samples=b"s0\ns 1\n"))
 
 
-def test_load_and_save_check_each_distinct_name_once(tmp_path):
+def test_load_and_save_check_each_distinct_name_once(tmp_path, tiny_dataset, write_v2_gallery):
     identities = tuple(f"id{i % 100:03d}" for i in range(1000))
     sample_ids = tuple(f"s{i // 100}" for i in range(1000))
     gallery = Gallery._from_keys(_FUZZ_CONFIG, identities, sample_ids, np.ones((1000, 4)))
@@ -802,6 +804,20 @@ def test_load_and_save_check_each_distinct_name_once(tmp_path):
     assert [c.args for c in check.call_args_list[:2]] == [("id000", "identity"),
                                                           ("id001", "identity")]
     assert back.identities == identities and back.sample_ids == sample_ids
+    # every other way of building one checks each distinct name once, and
+    # enroll checks only the names it adds
+    write_v2_gallery(gallery, tmp_path / "v2")
+    templates = gallery.templates
+    for build in (lambda: Gallery(_FUZZ_META, templates), lambda: load_gallery(tmp_path / "v2"),
+                  lambda: copy.deepcopy(gallery), lambda: pickle.loads(pickle.dumps(gallery))):
+        with mock.patch.object(recognition, "_check_name",
+                               wraps=recognition._check_name) as check:
+            _assert_same_gallery(build(), gallery)
+        assert check.call_count == 100 + 10
+    with mock.patch.object(recognition, "_check_name", wraps=recognition._check_name) as check:
+        bigger = enroll(gallery, "new", [("s0", tiny_dataset["id000"][0])], _FUZZ_CONFIG)
+    assert [c.args for c in check.call_args_list] == [("new", "identity"), ("s0", "sample_id")]
+    assert bigger.names == gallery.names + ("new",)
 
 
 def test_gallery_load_rejects_bad_names_in_the_index(tmp_path, tiny_gallery,
