@@ -156,7 +156,7 @@ def _cmd_enroll(args) -> int:
     config = pipeline_from_args(args, PipelineConfig() if gallery is None else gallery.config)
     samples = [(Path(path).stem, load_image(path)) for path in args.images]
     if gallery is None:
-        gallery = Gallery(config.meta, preprocess=config.preprocess)
+        gallery = Gallery(config)
     save_gallery(enroll(gallery, args.identity, samples, config), root)
     print(f"enrolled {len(args.images)} sample(s) for {args.identity}")
     return 0
@@ -281,18 +281,19 @@ def _evaluate_args(sp) -> None:
 
 
 def _synth_args(sp) -> None:
+    spec = SynthSpec()
     sp.add_argument("out", metavar="OUT_ROOT")
-    sp.add_argument("--identities", type=_positive_int, default=18)
-    sp.add_argument("--samples", type=_positive_int, default=24)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rotation", type=float, default=10.0,
-                    help="max |rotation| in degrees (default 10)")
-    sp.add_argument("--scale", type=float, nargs=2, default=[0.9, 1.1],
+    sp.add_argument("--identities", type=_positive_int, default=spec.n_identities)
+    sp.add_argument("--samples", type=_positive_int, default=spec.samples_per_identity)
+    sp.add_argument("--seed", type=int, default=spec.seed)
+    sp.add_argument("--rotation", type=float, default=spec.rotation_deg,
+                    help="max |rotation| in degrees (default %(default)g)")
+    sp.add_argument("--scale", type=float, nargs=2, default=spec.scale_range,
                     metavar=("LO", "HI"))
-    sp.add_argument("--translation", type=float, default=10.0,
-                    help="max |shift| per axis in pixels (default 10)")
-    sp.add_argument("--noise", type=float, default=0.02,
-                    help="salt-and-pepper fraction (default 0.02)")
+    sp.add_argument("--translation", type=float, default=spec.translation_px,
+                    help="max |shift| per axis in pixels (default %(default)g)")
+    sp.add_argument("--noise", type=float, default=spec.noise_fraction,
+                    help="salt-and-pepper fraction (default %(default)g)")
     sp.set_defaults(handler=_cmd_synth)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadLength, DegenerateDescriptor, FormatError, IoError
+from .errors import BadLength, DegenerateDescriptor, FormatError, IoError, SigfdError
 from .imaging import GrayImage, PreprocessConfig, preprocess
 # `dwt2_multi` is not called here, but bench/spans.py traces calls by
 # patching this module's globals, so every name it looks up on this module
@@ -22,26 +22,6 @@ from .imaging import GrayImage, PreprocessConfig, preprocess
 from .wavelet import WaveletFamily, _approximate_plane, _check_levels, dwt2_multi
 
 NORMALIZER_EPS = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class DescriptorMeta:
-    """Extraction parameters a descriptor must share to be comparable."""
-
-    family: WaveletFamily
-    levels: int
-    k: int
-
-    def __post_init__(self):
-        _check_family(self.family)
-        if not all(isinstance(n, int) and n >= 1 for n in (self.levels, self.k)):
-            raise ValueError(f"need integer levels and k >= 1, "
-                             f"got levels={self.levels} k={self.k}")
-
-
-def _check_family(family) -> None:
-    if not isinstance(family, WaveletFamily):
-        raise ValueError(f"family must be a WaveletFamily, got {family!r}")
 
 
 def _check_magnitudes(mags: np.ndarray) -> None:
@@ -53,21 +33,6 @@ def _check_magnitudes(mags: np.ndarray) -> None:
 def _check_k(k, n: int) -> None:
     if not isinstance(k, int) or not 2 <= k <= n - 2:
         raise BadLength(f"need an integer 2 <= k <= N-2, got k={k!r} with N={n}")
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class FourierDescriptor:
-    """`k` nonnegative magnitudes plus the parameters that produced them."""
-
-    magnitudes: np.ndarray
-    meta: DescriptorMeta
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if mags.ndim != 1 or mags.size != self.meta.k:
-            raise ValueError(f"need {self.meta.k} magnitudes in a 1-D array, got {mags.shape}")
-        _check_magnitudes(mags)
-        object.__setattr__(self, "magnitudes", mags)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,11 +53,42 @@ class PipelineConfig:
         w, h = self.preprocess.target_size
         _check_levels(self.levels, w, h)
         _check_k(self.k, (w >> self.levels) * (h >> self.levels))
-        _check_family(self.family)
+        if not isinstance(self.family, WaveletFamily):
+            raise ValueError(f"family must be a WaveletFamily, got {self.family!r}")
 
     @property
-    def meta(self) -> DescriptorMeta:
-        return DescriptorMeta(self.family, self.levels, self.k)
+    def meta(self) -> "PipelineConfig":
+        """The config itself, under the name `bench/workloads.py` calls (`CONFIG.meta`)."""
+        return self
+
+
+def _header_config(family: str, levels: str, k: str, *pre: str) -> PipelineConfig:
+    """The config a file header names, checked; without preprocessing fields, the default one."""
+    try:
+        preprocess = PreprocessConfig()
+        if pre:
+            median, width, height, slant, threshold = pre
+            preprocess = PreprocessConfig(int(median), (int(width), int(height)),
+                                          {"0": False, "1": True}.get(slant, slant),
+                                          None if threshold == "-" else int(threshold))
+        return PipelineConfig(WaveletFamily.parse(family), int(levels), int(k), preprocess)
+    except SigfdError as exc:
+        raise ValueError(f"bad configuration: {type(exc).__name__}: {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class FourierDescriptor:
+    """`k` nonnegative magnitudes plus the config that produced them."""
+
+    magnitudes: np.ndarray
+    config: PipelineConfig
+
+    def __post_init__(self):
+        mags = np.asarray(self.magnitudes, dtype=np.float64)
+        if mags.ndim != 1 or mags.size != self.config.k:
+            raise ValueError(f"need {self.config.k} magnitudes in a 1-D array, got {mags.shape}")
+        _check_magnitudes(mags)
+        object.__setattr__(self, "magnitudes", mags)
 
 
 def dft(sequence: np.ndarray) -> np.ndarray:
@@ -136,7 +132,7 @@ def describe_each(pre: GrayImage, configs) -> list[np.ndarray]:
 def extract_features(img: GrayImage, config: PipelineConfig = PipelineConfig()) -> FourierDescriptor:
     """Full chain: preprocess, then `describe_each` under the one config."""
     (mags,) = describe_each(preprocess(img, config.preprocess), (config,))
-    return FourierDescriptor(mags, config.meta)
+    return FourierDescriptor(mags, config)
 
 
 # --- descriptor files --------------------------------------------------------
@@ -149,10 +145,14 @@ def save_descriptor(fd: FourierDescriptor, path) -> None:
     """Write one descriptor as text: a header line, then one float per line.
 
     Floats are written with shortest round-trip repr, so a load returns
-    bit-identical values.
+    bit-identical values.  The header has no room for preprocessing, so a
+    descriptor made with any but the default one is a `ValueError`.
     """
-    meta = fd.meta
-    lines = [f"{_MAGIC} {_VERSION} {meta.family.value} {meta.levels} {meta.k}"]
+    config = fd.config
+    if config.preprocess != PreprocessConfig():
+        raise ValueError(f"a {_MAGIC} {_VERSION} file holds only the default preprocessing, "
+                         f"got {config.preprocess}")
+    lines = [f"{_MAGIC} {_VERSION} {config.family.value} {config.levels} {config.k}"]
     lines += [repr(float(v)) for v in fd.magnitudes]
     try:
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -161,6 +161,7 @@ def save_descriptor(fd: FourierDescriptor, path) -> None:
 
 
 def load_descriptor(path) -> FourierDescriptor:
+    """Read a `save_descriptor` file, under the default preprocessing its header implies."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except (OSError, UnicodeDecodeError) as exc:
@@ -172,7 +173,7 @@ def load_descriptor(path) -> FourierDescriptor:
     if len(fields) != 5 or fields[0] != _MAGIC or fields[1] != _VERSION:
         raise FormatError(f"{path}: bad descriptor header {lines[0]!r}")
     try:
-        meta = DescriptorMeta(WaveletFamily.parse(fields[2]), int(fields[3]), int(fields[4]))
-        return FourierDescriptor(np.array([float(s) for s in lines[1:]]), meta)
+        config = _header_config(*fields[2:5])
+        return FourierDescriptor(np.array([float(s) for s in lines[1:]]), config)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -21,14 +21,14 @@ import numpy as np
 # and `save_descriptor` are not called here, but bench/spans.py traces calls
 # by patching these module globals, so every name it looks up on this module
 # has to stay importable.
-from .descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                         _check_magnitudes, describe_each, dft, extract_features,
+from .descriptor import (FourierDescriptor, PipelineConfig, _check_magnitudes,
+                         _header_config, describe_each, dft, extract_features,
                          load_descriptor, normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
                      InsufficientSamples, IoError, MetaMismatch, SigfdError,
                      UnknownIdentity)
-from .imaging import (BACKGROUND, GrayImage, PreprocessConfig, load_image,
-                      preprocess, save_image, warp_similarity)
+from .imaging import (BACKGROUND, GrayImage, load_image, preprocess, save_image,
+                      warp_similarity)
 from .metrics import DistanceMeasure, distance, pairwise_distances
 from .wavelet import WaveletFamily, dwt2_multi
 
@@ -110,18 +110,16 @@ class Gallery:
     sample_columns: np.ndarray
     magnitudes: np.ndarray
 
-    def __new__(cls, meta: DescriptorMeta, templates: tuple[Template, ...] = (),
-                preprocess: PreprocessConfig = PreprocessConfig()):
+    def __new__(cls, config: PipelineConfig, templates: tuple[Template, ...] = ()):
         for t in templates:
-            # records usually share their gallery's meta object, and `is` is cheap
-            if t.descriptor.meta is not meta and t.descriptor.meta != meta:
-                raise MetaMismatch(f"template {(t.identity, t.sample_id)!r} has meta "
-                                   f"{t.descriptor.meta}, gallery has {meta}")
+            # records usually share their gallery's config object, and `is` is cheap
+            if t.descriptor.config is not config and t.descriptor.config != config:
+                raise MetaMismatch(f"template {(t.identity, t.sample_id)!r} has config "
+                                   f"{t.descriptor.config}, gallery has {config}")
         mags = np.array([t.descriptor.magnitudes for t in templates], dtype=np.float64)
-        config = PipelineConfig(meta.family, meta.levels, meta.k, preprocess)
         return cls._from_keys(config, tuple(t.identity for t in templates),
                               tuple(t.sample_id for t in templates),
-                              mags.reshape(len(templates), meta.k))
+                              mags.reshape(len(templates), config.k))
 
     @classmethod
     def _from_keys(cls, config: PipelineConfig, identities, sample_ids, magnitudes) -> "Gallery":
@@ -131,11 +129,22 @@ class Gallery:
         return cls._from_columns(config, names, columns, sample_names, sample_columns, magnitudes)
 
     @classmethod
+    def _from_tables(cls, config: PipelineConfig, names, columns, sample_names,
+                     sample_columns, magnitudes) -> "Gallery":
+        """`_from_columns` over stored tables, a file's or a copy's, checked here once each."""
+        for table, what in ((names, "identity"), (sample_names, "sample_id")):
+            for name in table:
+                _check_name(name, what)
+            if any(a >= b for a, b in itertools.pairwise(table)):
+                raise ValueError(f"the {what} table must be strictly increasing")
+        return cls._from_columns(config, names, columns, sample_names, sample_columns, magnitudes)
+
+    @classmethod
     def _from_columns(cls, config: PipelineConfig, names, columns, sample_names,
                       sample_columns, magnitudes) -> "Gallery":
         """The one place a gallery is built; the arrays become read-only.
 
-        The callers check the name tables: `_merge_names` or `_read_table`."""
+        The callers check the name tables: `_merge_names` or `_from_tables`."""
         columns = np.ascontiguousarray(columns, dtype=np.int32)
         sample_columns = np.ascontiguousarray(sample_columns, dtype=np.int32)
         mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
@@ -155,9 +164,9 @@ class Gallery:
         return gallery
 
     def __reduce__(self):
-        # copies and pickles are rebuilt, and so re-checked, from their keys
-        return Gallery._from_keys, (self.config, self.identities, self.sample_ids,
-                                    self.magnitudes)
+        # copies and pickles are rebuilt, and so re-checked, from their tables and columns
+        return Gallery._from_tables, (self.config, self.names, self.columns,
+                                      self.sample_names, self.sample_columns, self.magnitudes)
 
     @property
     def identities(self) -> tuple[str, ...]:
@@ -172,13 +181,12 @@ class Gallery:
     @property
     def templates(self) -> tuple[Template, ...]:
         """The gallery as `Template` records in enrollment order, built on each access."""
-        meta = self.config.meta
-        return tuple(Template(identity, sample_id, FourierDescriptor(row, meta))
+        return tuple(Template(identity, sample_id, FourierDescriptor(row, self.config))
                      for identity, sample_id, row
                      in zip(self.identities, self.sample_ids, self.magnitudes))
 
 
-def _check_meta(gallery: Gallery, config: PipelineConfig) -> None:
+def _check_config(gallery: Gallery, config: PipelineConfig) -> None:
     if config != gallery.config:
         raise MetaMismatch(f"config {config} != gallery config {gallery.config}")
 
@@ -190,7 +198,7 @@ def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]]
     The new keys are checked, names first and then against every key
     already enrolled and each other, before any image is extracted.
     """
-    _check_meta(gallery, config)
+    _check_config(gallery, config)
     names, columns = _merge_names(gallery.names, gallery.columns,
                                   (identity,) * len(samples), "identity")
     sample_names, sample_columns = _merge_names(gallery.sample_names, gallery.sample_columns,
@@ -219,7 +227,7 @@ class VerifyResult:
 def _probe_features(gallery: Gallery, probe: GrayImage, config: PipelineConfig) -> FourierDescriptor:
     if not gallery.columns.size:
         raise EmptyGallery("gallery has no enrolled templates")
-    _check_meta(gallery, config)
+    _check_config(gallery, config)
     return extract_features(probe, config)
 
 
@@ -593,20 +601,6 @@ def load_gallery(root) -> Gallery:
         raise FormatError(f"{manifest}: {exc}") from exc
 
 
-def _header_config(family: str, levels: str, k: str, *pre: str) -> PipelineConfig:
-    """The config a header names, checked at load; a v2 header names no preprocessing."""
-    try:
-        preprocess = PreprocessConfig()
-        if pre:
-            median, width, height, slant, threshold = pre
-            preprocess = PreprocessConfig(int(median), (int(width), int(height)),
-                                          {"0": False, "1": True}.get(slant, slant),
-                                          None if threshold == "-" else int(threshold))
-        return PipelineConfig(WaveletFamily.parse(family), int(levels), int(k), preprocess)
-    except SigfdError as exc:
-        raise ValueError(f"bad configuration: {type(exc).__name__}: {exc}") from exc
-
-
 def _load_v3(config: PipelineConfig, sizes: list[str], data: bytes, at: int) -> Gallery:
     """The v3 layout past its configuration fields; `at` is where the tables start."""
     if not all(size.isdigit() for size in sizes):
@@ -626,20 +620,16 @@ def _load_v3(config: PipelineConfig, sizes: list[str], data: bytes, at: int) -> 
     columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at)
     sample_columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at + 4 * count)
     mags = np.frombuffer(data, dtype="<f8", count=count * config.k, offset=payload_at)
-    return Gallery._from_columns(config, names, columns, sample_names, sample_columns,
-                                 mags.reshape(count, config.k))
+    return Gallery._from_tables(config, names, columns, sample_names, sample_columns,
+                                mags.reshape(count, config.k))
 
 
 def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:
-    """`n` newline-terminated names, each checked, in strictly increasing order."""
+    """`n` newline-terminated names, unchecked: `Gallery._from_tables` checks them."""
     names = raw.decode("ascii").split("\n")
     if names.pop() or len(names) != n:
         raise ValueError(f"the {what} table needs {n} newline-terminated names "
                          f"in {len(raw)} bytes")
-    for name in names:
-        _check_name(name, what)
-    if any(a >= b for a, b in itertools.pairwise(names)):
-        raise ValueError(f"the {what} table must be strictly increasing")
     return tuple(names)
 
 

@@ -93,7 +93,7 @@ def test_criterion_4_rotated_probes_match_their_identity():
         n_identities=10, samples_per_identity=1, rotation_deg=0.0,
         scale_range=(1.0, 1.0), translation_px=0.0, noise_fraction=0.0, seed=104))
     config = PipelineConfig()
-    gallery = Gallery(config.meta)
+    gallery = Gallery(config)
     for label, images in bases.items():
         gallery = enroll(gallery, label, [("base", images[0])], config)
     measure = DistanceMeasure("manhattan")

@@ -10,7 +10,7 @@ import pytest
 
 from sigfd import cli
 from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
-from sigfd.descriptor import DescriptorMeta, PipelineConfig, extract_features
+from sigfd.descriptor import PipelineConfig, extract_features
 from sigfd.errors import FormatError
 from sigfd.imaging import GrayImage, PreprocessConfig, load_image, save_image
 from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
@@ -52,12 +52,12 @@ def test_cli_config_resolves_flags_and_defaults():
     # a stored gallery's parameters win over the defaults, and flags over both
     gallery = PipelineConfig(WaveletFamily.HAAR, 2, 16, PreprocessConfig(slant_enabled=False))
     stored = pipeline_from_args(args, gallery)
-    assert stored.meta == DescriptorMeta(WaveletFamily.HAAR, 2, 16)
+    assert (stored.family, stored.levels, stored.k) == (WaveletFamily.HAAR, 2, 16)
     assert stored.preprocess == PreprocessConfig(5, (128, 64), slant_enabled=False)
     enroll = parse(["enroll", "g", "a", "--family", "db2", "--levels", "2", "--k", "8",
                     "--no-slant", "--binarize-threshold", "100", "x.pgm"])
     config = pipeline_from_args(enroll)
-    assert config.meta == DescriptorMeta(WaveletFamily.DB2, 2, 8)
+    assert (config.family, config.levels, config.k) == (WaveletFamily.DB2, 2, 8)
     assert (config.preprocess.slant_enabled, config.preprocess.binarize_threshold) == (False, 100)
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigfd.descriptor import (DescriptorMeta, FourierDescriptor,
-                              PipelineConfig, describe_each, dft,
+from sigfd.descriptor import (FourierDescriptor, PipelineConfig,
+                              describe_each, dft,
                               extract_features, load_descriptor,
                               normalize_descriptor, save_descriptor)
 from sigfd.errors import (BadLength, BadLevels, DegenerateDescriptor,
@@ -81,11 +81,11 @@ def test_sequence_level_invariances():
 
 
 def test_descriptor_validates_magnitudes():
-    meta = DescriptorMeta(WaveletFamily.HAAR, 1, 3)
+    config = PipelineConfig(WaveletFamily.HAAR, 1, 3)
     with pytest.raises(ValueError):
-        FourierDescriptor(np.array([1.0, -0.5, 2.0]), meta)
+        FourierDescriptor(np.array([1.0, -0.5, 2.0]), config)
     with pytest.raises(ValueError):
-        FourierDescriptor(np.array([1.0, 2.0]), meta)
+        FourierDescriptor(np.array([1.0, 2.0]), config)
 
 
 # --- full extraction ----------------------------------------------------------------
@@ -99,7 +99,10 @@ def test_extract_features_shape_and_meta():
     img = GrayImage(rng.integers(0, 256, size=(256, 256), dtype=np.uint8))
     fd = extract_features(img)
     assert fd.magnitudes.shape == (64,)
-    assert fd.meta == DescriptorMeta(WaveletFamily.SYM8, 3, 64)
+    assert fd.config == PipelineConfig()
+    # the descriptor records the very config it was made with, preprocessing too
+    no_slant = _default_config(slant_enabled=False)
+    assert extract_features(img, no_slant).config is no_slant
 
 
 def test_describe_each_rows_are_extract_features_magnitudes():
@@ -151,18 +154,16 @@ def test_extract_features_scan_start_invariance():
 
 def test_descriptor_file_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(25)
-    fd = FourierDescriptor(rng.random(16) * 7,
-                           DescriptorMeta(WaveletFamily.DB8, 2, 16))
+    fd = FourierDescriptor(rng.random(16) * 7, PipelineConfig(WaveletFamily.DB8, 2, 16))
     path = tmp_path / "d.sigfd"
     save_descriptor(fd, path)
     back = load_descriptor(path)
-    assert back.meta == fd.meta
+    assert back.config == fd.config
     assert np.array_equal(back.magnitudes, fd.magnitudes)
 
 
 def test_descriptor_file_header_format(tmp_path):
-    fd = FourierDescriptor(np.array([1.0, 2.5]),
-                           DescriptorMeta(WaveletFamily.SYM8, 3, 2))
+    fd = FourierDescriptor(np.array([1.0, 2.5]), PipelineConfig(WaveletFamily.SYM8, 3, 2))
     path = tmp_path / "d.sigfd"
     save_descriptor(fd, path)
     lines = path.read_text().splitlines()
@@ -170,11 +171,15 @@ def test_descriptor_file_header_format(tmp_path):
     assert lines[1:] == ["1.0", "2.5"]
 
 
-def test_descriptor_meta_always_names_a_family_and_levels():
-    # so every descriptor and gallery can be saved with a full header
-    for family, levels in ((None, None), (WaveletFamily.HAAR, None), (None, 1), ("haar", 1)):
-        with pytest.raises(ValueError):
-            DescriptorMeta(family, levels, 4)
+def test_save_descriptor_refuses_preprocessing_its_header_cannot_record(tmp_path):
+    # a loaded file claims the default preprocessing, so any other is not written
+    path = tmp_path / "d.sigfd"
+    for pre in (PreprocessConfig(slant_enabled=False), PreprocessConfig(median_window=5),
+                PreprocessConfig(target_size=(64, 64)), PreprocessConfig(binarize_threshold=90)):
+        fd = FourierDescriptor(np.array([1.0, 2.5]), PipelineConfig(WaveletFamily.HAAR, 2, 2, pre))
+        with pytest.raises(ValueError, match="default preprocessing"):
+            save_descriptor(fd, path)
+        assert not path.exists()
 
 
 def test_descriptor_file_rejects_corruption(tmp_path):
@@ -204,8 +209,9 @@ def test_descriptor_file_rejects_corruption(tmp_path):
 
 
 def test_pipeline_config_meta():
-    cfg = PipelineConfig(WaveletFamily.DB15, 2, 10)
-    assert cfg.meta == DescriptorMeta(WaveletFamily.DB15, 2, 10)
+    # the benchmark's gallery set-up calls `CONFIG.meta`; it is the config itself
+    cfg = PipelineConfig()
+    assert cfg.meta is cfg
 
 
 def test_pipeline_config_family_must_be_a_wavelet_family():
@@ -224,8 +230,9 @@ def test_pipeline_config_rejects_levels_the_target_cannot_halve():
         PipelineConfig(levels=5, k=2, preprocess=PreprocessConfig(target_size=(16, 16)))
     with pytest.raises(BadLevels):
         PipelineConfig(levels=3, k=2, preprocess=PreprocessConfig(target_size=(256, 4)))
-    with pytest.raises(BadLevels):
-        PipelineConfig(levels=0)
+    for levels in (0, -1, None, "3"):
+        with pytest.raises(BadLevels):
+            PipelineConfig(levels=levels)
     for huge in (2 ** 63, 10 ** 20):  # tested without building 2**levels
         with pytest.raises(BadLevels):
             PipelineConfig(levels=huge)
@@ -237,8 +244,9 @@ def test_pipeline_config_rejects_k_beyond_the_coarsest_plane():
         PipelineConfig(levels=3, k=64, preprocess=small)  # N = 2 * 2
     with pytest.raises(BadLength):
         PipelineConfig(levels=2, k=15, preprocess=small)  # N = 4 * 4
-    with pytest.raises(BadLength):
-        PipelineConfig(k=1)
+    for k in (1, 0, -3, None):
+        with pytest.raises(BadLength):
+            PipelineConfig(k=k)
     for k in (64.0, 64.5):  # in range, but not an integer count
         with pytest.raises(BadLength):
             PipelineConfig(k=k)
@@ -282,7 +290,7 @@ def test_flipped_descriptor_bytes_load_or_raise_a_data_error(fd_path, data):
         mangled[at] = value
     fd = _load_fd(fd_path, bytes(mangled))
     if fd is not None:
-        assert fd.magnitudes.shape == (fd.meta.k,) and np.isfinite(fd.magnitudes).all()
+        assert fd.magnitudes.shape == (fd.config.k,) and np.isfinite(fd.magnitudes).all()
 
 
 @pytest.mark.parametrize("text", [
@@ -304,16 +312,12 @@ def test_descriptor_file_values_out_of_range_are_format_errors(fd_path, text):
         load_descriptor(fd_path)
 
 
-def test_descriptor_file_levels_past_any_image_still_load(fd_path):
-    # a descriptor file carries no image size to test levels against; a
-    # gallery or config that holds it does
-    for levels in (2 ** 63, 10 ** 20):
-        fd_path.write_text(f"SIGFD v1 haar {levels} 2\n0.5\n1.0\n")
-        assert load_descriptor(fd_path).meta == DescriptorMeta(WaveletFamily.HAAR, levels, 2)
-
-
-def test_descriptor_meta_checks_its_ranges():
-    assert DescriptorMeta(WaveletFamily.HAAR, 1, 1).k == 1
-    for levels, k in ((0, 4), (-1, 4), (2, 0), (None, 0), (None, -3)):
-        with pytest.raises(ValueError, match=f"levels={levels} k={k}"):
-            DescriptorMeta(WaveletFamily.HAAR, levels, k)
+def test_descriptor_file_levels_or_k_the_default_target_cannot_hold_are_format_errors(fd_path):
+    # a file names no preprocessing, so it loads with the default 256 x 256 target
+    fd_path.write_text("SIGFD v1 haar 6 2\n0.5\n1.0\n")
+    assert load_descriptor(fd_path).config == PipelineConfig(WaveletFamily.HAAR, 6, 2)
+    # levels 8 leaves N = 1 coefficient, and levels 3 leaves N = 32 * 32
+    for levels, k in ((2 ** 63, 2), (10 ** 20, 2), (8, 2), (3, 1023)):
+        fd_path.write_text(f"SIGFD v1 haar {levels} {k}\n0.5\n1.0\n")
+        with pytest.raises(FormatError, match="bad configuration"):
+            load_descriptor(fd_path)

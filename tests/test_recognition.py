@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigfd import metrics, recognition
-from sigfd.descriptor import (DescriptorMeta, FourierDescriptor, PipelineConfig,
-                              extract_features)
+from sigfd.descriptor import FourierDescriptor, PipelineConfig, extract_features
 from sigfd.errors import (DegenerateDescriptor, DuplicateSample, EmptyGallery,
                           FormatError, InsufficientSamples, IoError, MetaMismatch,
                           UnknownIdentity)
@@ -40,7 +39,7 @@ def tiny_dataset():
 
 @pytest.fixture(scope="module")
 def tiny_gallery(tiny_dataset):
-    gallery = Gallery(CFG.meta)
+    gallery = Gallery(CFG)
     for label, images in tiny_dataset.items():
         gallery = enroll(gallery, label, [(f"s{i}", img) for i, img in enumerate(images[:2])],
                          CFG)
@@ -50,7 +49,7 @@ def tiny_gallery(tiny_dataset):
 # --- gallery and matching ------------------------------------------------------
 
 def test_enroll_is_copy_on_write(tiny_dataset):
-    g0 = Gallery(CFG.meta)
+    g0 = Gallery(CFG)
     g1 = enroll(g0, "a", [("s0", tiny_dataset["id000"][0])], CFG)
     assert len(g0.templates) == 0
     assert len(g1.templates) == 1
@@ -73,12 +72,12 @@ def test_enroll_takes_a_batch_in_order(tiny_dataset, tiny_gallery):
 
 def test_enroll_rejects_duplicates(tiny_dataset):
     img = tiny_dataset["id000"][0]
-    g = enroll(Gallery(CFG.meta), "a", [("s0", img)], CFG)
+    g = enroll(Gallery(CFG), "a", [("s0", img)], CFG)
     with pytest.raises(DuplicateSample):
         enroll(g, "a", [("s0", img)], CFG)
     # twice within one batch
     with pytest.raises(DuplicateSample):
-        enroll(Gallery(CFG.meta), "a", [("s0", img), ("s0", img)], CFG)
+        enroll(Gallery(CFG), "a", [("s0", img), ("s0", img)], CFG)
     # same sample id under another identity is fine
     g2 = enroll(g, "b", [("s0", img)], CFG)
     assert g2.names == ("a", "b")
@@ -102,16 +101,16 @@ def test_enroll_checks_keys_before_extracting_any_image(tiny_dataset, tiny_galle
 def test_enroll_rejects_meta_mismatch(tiny_dataset):
     other = PipelineConfig(levels=2)
     with pytest.raises(MetaMismatch):
-        enroll(Gallery(CFG.meta), "a", [("s0", tiny_dataset["id000"][0])], other)
+        enroll(Gallery(CFG), "a", [("s0", tiny_dataset["id000"][0])], other)
 
 
 def test_enroll_rejects_unsafe_names(tiny_dataset):
     img = tiny_dataset["id000"][0]
     for bad in ("", "a/b", ".hidden", "x y"):
         with pytest.raises(ValueError, match="identity"):
-            enroll(Gallery(CFG.meta), bad, [("s0", img)], CFG)
+            enroll(Gallery(CFG), bad, [("s0", img)], CFG)
         with pytest.raises(ValueError, match="sample_id"):
-            enroll(Gallery(CFG.meta), "a", [("s0", img), (bad, img)], CFG)
+            enroll(Gallery(CFG), "a", [("s0", img), (bad, img)], CFG)
 
 
 _OUT_OF_RANGE = (np.nan, -1.0, np.inf)
@@ -120,21 +119,26 @@ _OUT_OF_RANGE = (np.nan, -1.0, np.inf)
 def test_gallery_constructor_enforces_invariants(tiny_gallery):
     t = tiny_gallery.templates[0]
     with pytest.raises(DuplicateSample):
-        Gallery(CFG.meta, (t, t))
+        Gallery(CFG, (t, t))
     with pytest.raises(MetaMismatch):
-        Gallery(DescriptorMeta(WaveletFamily.HAAR, 1, 64), (t,))
-    # a row of another length comes with another k, which is a meta mismatch
-    short = FourierDescriptor(np.ones(CFG.k - 1),
-                              DescriptorMeta(CFG.family, CFG.levels, CFG.k - 1))
+        Gallery(PipelineConfig(WaveletFamily.HAAR, 1, 64), (t,))
+    # a row of another length comes with another k, which is a MetaMismatch
+    short = FourierDescriptor(np.ones(CFG.k - 1), dataclasses.replace(CFG, k=CFG.k - 1))
     with pytest.raises(MetaMismatch):
-        Gallery(CFG.meta, (t, Template("id000", "short", short)))
+        Gallery(CFG, (t, Template("id000", "short", short)))
+    # same family, levels and k: only the preprocessing tells the two apart
+    no_slant = PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False))
+    other = Template("id000", "other", FourierDescriptor(t.descriptor.magnitudes, no_slant))
+    message = re.escape(f"template ('id000', 'other') has config {no_slant}, gallery has {CFG}")
+    with pytest.raises(MetaMismatch, match=message):
+        Gallery(CFG, (t, other))
     # the gallery checks the matrix it holds, not only each descriptor when it was made
     for value in _OUT_OF_RANGE:
         mags = t.descriptor.magnitudes.copy()
-        fd = FourierDescriptor(mags, CFG.meta)
+        fd = FourierDescriptor(mags, CFG)
         mags[3] = value
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            Gallery(CFG.meta, (t, Template("id000", "late", fd)))
+            Gallery(CFG, (t, Template("id000", "late", fd)))
 
 
 def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery, fuzz_v3):
@@ -171,7 +175,7 @@ def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery, fuzz
     for names, columns in ((b"bo\nann\n", (0, 0, 1)), (b"ann\nann\nbo\n", (1, 1, 2))):
         with pytest.raises(FormatError, match="strictly increasing"):
             _load_manifest(fuzz_v3[0], _v3(names=names, columns=columns))
-    # enroll is the column constructor's public caller; its meta must match
+    # enroll is the column constructor's public caller; its config must match
     with pytest.raises(MetaMismatch):
         enroll(g, "new", [("s0", tiny_dataset["id000"][0])],
                PipelineConfig(family=WaveletFamily.HAAR))
@@ -212,7 +216,7 @@ def test_identify_finds_owner(tiny_dataset, tiny_gallery):
 
 def test_identify_tie_breaks_lexicographically(tiny_dataset):
     img = tiny_dataset["id000"][0]
-    gallery = Gallery(CFG.meta)
+    gallery = Gallery(CFG)
     for ident in ("zeta", "beta"):
         gallery = enroll(gallery, ident, [("s0", img)], CFG)
     result = identify(gallery, img, MANHATTAN, CFG)
@@ -223,10 +227,10 @@ def test_identify_tie_breaks_lexicographically(tiny_dataset):
 def test_identify_is_enrollment_order_invariant(tiny_dataset):
     samples = [(label, i, img) for label, imgs in tiny_dataset.items()
                for i, img in enumerate(imgs[:2])]
-    forward = Gallery(CFG.meta)
+    forward = Gallery(CFG)
     for label, i, img in samples:
         forward = enroll(forward, label, [(f"s{i}", img)], CFG)
-    backward = Gallery(CFG.meta)
+    backward = Gallery(CFG)
     for label, i, img in reversed(samples):
         backward = enroll(backward, label, [(f"s{i}", img)], CFG)
     probe = tiny_dataset["id001"][3]
@@ -236,7 +240,7 @@ def test_identify_is_enrollment_order_invariant(tiny_dataset):
 
 def test_identify_empty_gallery(tiny_dataset):
     with pytest.raises(EmptyGallery):
-        identify(Gallery(CFG.meta), tiny_dataset["id000"][0], MANHATTAN, CFG)
+        identify(Gallery(CFG), tiny_dataset["id000"][0], MANHATTAN, CFG)
 
 
 def test_identify_meta_mismatch(tiny_dataset, tiny_gallery):
@@ -248,8 +252,7 @@ def test_identify_meta_mismatch(tiny_dataset, tiny_gallery):
 def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_dataset):
     no_slant = PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False))
     img = tiny_dataset["id000"][0]
-    gallery = enroll(Gallery(CFG.meta, preprocess=no_slant.preprocess), "a", [("s0", img)],
-                     no_slant)
+    gallery = enroll(Gallery(no_slant), "a", [("s0", img)], no_slant)
     assert gallery.config == no_slant
     assert gallery.magnitudes.tobytes() == extract_features(img, no_slant).magnitudes.tobytes()
     assert identify(gallery, img, MANHATTAN, no_slant).distance == 0.0
@@ -263,8 +266,8 @@ def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_datase
             verify(gallery, "a", img, MANHATTAN, 1.0, config)
         with pytest.raises(MetaMismatch, match=message):
             enroll(gallery, "b", [("s0", img)], config)
-    # a gallery built without naming its preprocessing holds the default one
-    assert Gallery(CFG.meta).config == CFG
+    # a gallery holds the very config it was built with
+    assert Gallery(no_slant).config is no_slant
 
 
 def test_verify_accepts_and_rejects(tiny_dataset, tiny_gallery):
@@ -298,9 +301,8 @@ _PROBE_MAGS = extract_features(_PROBE, SMALL).magnitudes
 
 
 def _gallery(rows, owners) -> Gallery:
-    return Gallery(SMALL.meta, tuple(
-        Template(owner, f"s{i}", FourierDescriptor(row, SMALL.meta))
-        for i, (row, owner) in enumerate(zip(rows, owners))), SMALL.preprocess)
+    return Gallery(SMALL, tuple(Template(owner, f"s{i}", FourierDescriptor(row, SMALL))
+                                for i, (row, owner) in enumerate(zip(rows, owners))))
 
 
 def _brute_force_ranking(gallery, measure):
@@ -328,7 +330,7 @@ def test_identify_ranking_ignores_template_order_and_chunking(parts, name, chunk
     rows, owners, perm = parts
     measure = DistanceMeasure(name)
     forward = _gallery(rows, owners)
-    shuffled = Gallery(SMALL.meta, tuple(forward.templates[i] for i in perm), SMALL.preprocess)
+    shuffled = Gallery(SMALL, tuple(forward.templates[i] for i in perm))
     expected = _brute_force_ranking(forward, measure)
     with mock.patch.object(metrics, "_BLOCK_ROWS", chunk):
         assert identify(shuffled, _PROBE, measure, SMALL).ranking == expected
@@ -342,8 +344,8 @@ def test_interleaved_and_grouped_enrollment_give_equal_results():
     rows = np.random.default_rng(51).random((7 * per_id, SMALL.k)) + 0.1
     grouped = [(f"i{t // per_id}", f"s{t % per_id}", row) for t, row in enumerate(rows)]
     interleaved = sorted(grouped, key=lambda key: (key[1], key[0]))
-    galleries = [Gallery(SMALL.meta, tuple(Template(i, s, FourierDescriptor(row, SMALL.meta))
-                                           for i, s, row in keys), SMALL.preprocess)
+    galleries = [Gallery(SMALL, tuple(Template(i, s, FourierDescriptor(row, SMALL))
+                                      for i, s, row in keys))
                  for keys in (grouped, interleaved)]
     assert galleries[0].columns.tolist() == sorted(galleries[0].columns.tolist())
     assert galleries[1].columns.tolist()[:7] == list(range(7))
@@ -633,8 +635,8 @@ def test_gallery_round_trip(tmp_path, tiny_gallery):
     back = load_gallery(root)
     _assert_same_gallery(back, tiny_gallery)
     assert not back.templates[0].descriptor.magnitudes.flags.writeable
-    save_gallery(Gallery(CFG.meta), tmp_path / "empty")
-    _assert_same_gallery(load_gallery(tmp_path / "empty"), Gallery(CFG.meta))
+    save_gallery(Gallery(CFG), tmp_path / "empty")
+    _assert_same_gallery(load_gallery(tmp_path / "empty"), Gallery(CFG))
 
 
 _KEYS = st.lists(st.tuples(st.sampled_from(["ann", "bo", "cy.2"]),
@@ -646,9 +648,9 @@ _MAGNITUDE = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
 @given(keys=_KEYS, data=st.data())
 def test_record_and_saved_galleries_hold_the_same_columns(tmp_path_factory, keys, data):
     rows = [data.draw(st.lists(_MAGNITUDE, min_size=4, max_size=4)) for _ in keys]
-    records = tuple(Template(i, s, FourierDescriptor(np.array(row), _FUZZ_META))
+    records = tuple(Template(i, s, FourierDescriptor(np.array(row), _FUZZ_CONFIG))
                     for (i, s), row in zip(keys, rows))
-    built = Gallery(_FUZZ_META, records)
+    built = Gallery(_FUZZ_CONFIG, records)
     root = tmp_path_factory.mktemp("prop")
     save_gallery(built, root)
     want = np.array(rows, dtype=np.float64).reshape(len(keys), 4)
@@ -660,7 +662,7 @@ def test_record_and_saved_galleries_hold_the_same_columns(tmp_path_factory, keys
         assert g.names == tuple(sorted({i for i, _ in keys}))
         assert [g.names[c] for c in g.columns] == list(g.identities)
         # the records view rebuilds the same gallery
-        _assert_same_gallery(Gallery(_FUZZ_META, g.templates), built)
+        _assert_same_gallery(Gallery(_FUZZ_CONFIG, g.templates), built)
         assert [(t.identity, t.sample_id) for t in g.templates] == keys
 
 
@@ -765,7 +767,7 @@ def test_save_gallery_rejects_bad_names_before_writing(tmp_path, tiny_gallery):
         for what, template in (("sample_id", Template("id000", bad, fd)),
                                ("identity", Template(bad, "s0", fd))):
             with pytest.raises(ValueError, match=what):
-                save_gallery(Gallery(CFG.meta, (template,)), tmp_path / "never")
+                save_gallery(Gallery(CFG, (template,)), tmp_path / "never")
     assert not (tmp_path / "never").exists()
 
 
@@ -775,7 +777,7 @@ def test_gallery_owns_its_names(tiny_gallery, fuzz_v3):
         for what, template in (("sample_id", Template("id000", bad, fd)),
                                ("identity", Template(bad, "s0", fd))):
             with pytest.raises(ValueError, match=what):
-                Gallery(CFG.meta, (tiny_gallery.templates[0], template))
+                Gallery(CFG, (tiny_gallery.templates[0], template))
     # a non-string next to strings is a ValueError, not a failed sort
     with pytest.raises(ValueError, match="identity"):
         Gallery._from_keys(_FUZZ_CONFIG, ("ann", 5), ("s0", "s0"), np.ones((2, 4)))
@@ -808,7 +810,7 @@ def test_load_and_save_check_each_distinct_name_once(tmp_path, tiny_dataset, wri
     # enroll checks only the names it adds
     write_v2_gallery(gallery, tmp_path / "v2")
     templates = gallery.templates
-    for build in (lambda: Gallery(_FUZZ_META, templates), lambda: load_gallery(tmp_path / "v2"),
+    for build in (lambda: Gallery(_FUZZ_CONFIG, templates), lambda: load_gallery(tmp_path / "v2"),
                   lambda: copy.deepcopy(gallery), lambda: pickle.loads(pickle.dumps(gallery))):
         with mock.patch.object(recognition, "_check_name",
                                wraps=recognition._check_name) as check:
@@ -860,15 +862,15 @@ def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_ga
 
 # A three-template gallery with k = 4 keeps every truncation point cheap.
 _FUZZ_CONFIG = PipelineConfig(WaveletFamily.HAAR, 2, 4)
-_FUZZ_META = _FUZZ_CONFIG.meta
 
 
 def _fuzz_gallery() -> Gallery:
     rng = np.random.default_rng(5)
-    templates = tuple(Template(identity, sample, FourierDescriptor(rng.random(4), _FUZZ_META))
-                      for identity, sample in (("ann", "s0"), ("ann", "s1"), ("bo", "s0")))
     # a fixed threshold lengthens the v3 header, so its tables end off the 8-byte grid
-    return Gallery(_FUZZ_META, templates, PreprocessConfig(binarize_threshold=100))
+    config = dataclasses.replace(_FUZZ_CONFIG, preprocess=PreprocessConfig(binarize_threshold=100))
+    templates = tuple(Template(identity, sample, FourierDescriptor(rng.random(4), config))
+                      for identity, sample in (("ann", "s0"), ("ann", "s1"), ("bo", "s0")))
+    return Gallery(config, templates)
 
 
 @pytest.fixture(scope="module")

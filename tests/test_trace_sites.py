@@ -71,7 +71,7 @@ def test_evaluate_preprocesses_each_image_once_and_describes_it_per_family(spans
 
 def test_cli_identify_reads_the_packed_gallery_without_descriptor_files(spans, tmp_path):
     fd = extract_features(_triangle())
-    save_gallery(Gallery(fd.meta, (Template("a", "s0", fd),)), tmp_path / "gal")
+    save_gallery(Gallery(fd.config, (Template("a", "s0", fd),)), tmp_path / "gal")
     save_image(_triangle(), tmp_path / "probe.pgm")
     tracer = spans.Tracer()
     tracer.install()
