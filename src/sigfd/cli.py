@@ -6,9 +6,19 @@ stdout; diagnostics and progress go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
+import itertools
+import os
 import sys
+import threading
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: concurrent enrollments are not serialized
+    fcntl = None
 
 from .descriptor import PipelineConfig
 from .errors import SigfdError
@@ -36,21 +46,27 @@ class _Subcommands(argparse._SubParsersAction):
     Every subcommand is registered with its help at once, so the top-level
     help and choices are complete; `add_parser` takes a `fill` function
     that adds the subcommand's arguments, and it runs when that subcommand
-    is chosen, before its parser sees the rest of the command line.
+    is chosen, before its parser sees the rest of the command line.  The
+    lookup and the fill hold one lock, so threads sharing the parser never
+    parse against a half-filled subcommand, and a fill is forgotten only
+    once it has returned, so one that raised runs again on the next parse.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._fill = {}
+        self._lock = threading.Lock()
 
     def add_parser(self, name, *, fill, **kwargs):
         self._fill[name] = fill
         return super().add_parser(name, **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        fill = self._fill.pop(values[0], None)
-        if fill is not None:
-            fill(self._name_parser_map[values[0]])
+        with self._lock:
+            fill = self._fill.get(values[0])
+            if fill is not None:
+                fill(self._name_parser_map[values[0]])
+                del self._fill[values[0]]
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -150,14 +166,54 @@ def measure_from_args(args: argparse.Namespace, name: str | None = None) -> Dist
     return DistanceMeasure(name or args.measure, args.minkowski_p)
 
 
+@contextlib.contextmanager
+def _enrollment_lock(root: Path):
+    """Hold an exclusive `flock` on <root>/MANIFEST.siggal.lock, for one enrollment.
+
+    Concurrent `sigfd enroll` runs on one gallery take turns, so none loads
+    the manifest while another is about to replace it.  The lock file lives
+    only while it is held: the holder unlinks it before letting go, and a
+    waiter that wakes holding an unlinked file tries again.  A failed
+    enrollment removes the directories it created.  Without `fcntl` nothing
+    is locked.
+    """
+    if fcntl is None:
+        yield
+        return
+    created = list(itertools.takewhile(lambda d: not d.exists(), (root, *root.parents)))
+    lock = root / (MANIFEST_NAME + ".lock")
+    while True:
+        root.mkdir(parents=True, exist_ok=True)
+        try:
+            fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o666)
+        except FileNotFoundError:  # a failed enrollment removed the directory
+            continue
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        if os.fstat(fd).st_nlink:  # still the file at `lock`, not one its holder unlinked
+            break
+        os.close(fd)
+    done = False
+    try:
+        yield
+        done = True
+    finally:
+        os.unlink(lock)
+        if not done:
+            with contextlib.suppress(OSError):  # not empty: someone else's now
+                for d in created:
+                    d.rmdir()
+        os.close(fd)
+
+
 def _cmd_enroll(args) -> int:
     root = Path(args.gallery)
-    gallery = load_gallery(root) if (root / MANIFEST_NAME).exists() else None
-    config = pipeline_from_args(args, PipelineConfig() if gallery is None else gallery.config)
-    samples = [(Path(path).stem, load_image(path)) for path in args.images]
-    if gallery is None:
-        gallery = Gallery(config)
-    save_gallery(enroll(gallery, args.identity, samples, config), root)
+    with _enrollment_lock(root):
+        gallery = load_gallery(root) if (root / MANIFEST_NAME).exists() else None
+        config = pipeline_from_args(args, PipelineConfig() if gallery is None else gallery.config)
+        samples = [(Path(path).stem, load_image(path)) for path in args.images]
+        if gallery is None:
+            gallery = Gallery(config)
+        save_gallery(enroll(gallery, args.identity, samples, config), root)
     print(f"enrolled {len(args.images)} sample(s) for {args.identity}")
     return 0
 
@@ -313,11 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `run` shares across calls and threads in a process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -7,12 +7,17 @@ lexicographically smallest identity so results never depend on
 enrollment order.
 """
 
+# annotations stay unevaluated, so `np.random.Generator` does not load
+# numpy.random until the synthetic generator runs
+from __future__ import annotations
+
 import bisect
 import dataclasses
 import itertools
 import math
 import os
 import re
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -532,8 +537,12 @@ def save_gallery(gallery: Gallery, root) -> None:
     zero bytes up to an 8-byte boundary; the identity codes and the sample-id
     codes as little-endian int32, one per template in enrollment order; then
     the count x k magnitudes as little-endian float64.  The file is written
-    to MANIFEST.siggal.tmp and moved over the manifest with `os.replace`, so
-    a save that fails leaves the previous gallery as it was.
+    to a temporary file of its own beside the manifest, fsynced, moved over
+    the manifest with `os.replace`, and the directory is fsynced, so a save
+    that fails or is killed leaves the previous gallery as it was (a killed
+    save may leave its `MANIFEST.siggal.*.tmp` behind, which loading ignores).
+    Concurrent saves do not clash, but the last one wins: `sigfd enroll`
+    serializes load, enroll and save on a lock file.
     """
     config, pre = gallery.config, gallery.config.preprocess
     # the gallery's names hold no space or newline to break a table
@@ -550,14 +559,23 @@ def save_gallery(gallery: Gallery, root) -> None:
                      gallery.magnitudes.astype("<f8").tobytes()])
     root = Path(root)
     manifest = root / MANIFEST_NAME
-    tmp = root / (MANIFEST_NAME + ".tmp")
+    # a random name rather than mkstemp's, whose 0600 mode the manifest would keep
+    tmp = root / f"{MANIFEST_NAME}.{secrets.token_hex(8)}.tmp"
     try:
         root.mkdir(parents=True, exist_ok=True)
         try:
             tmp.write_bytes(data)
+            with open(tmp, "r+b") as written:
+                os.fsync(written.fileno())
             os.replace(tmp, manifest)
         finally:
             tmp.unlink(missing_ok=True)
+        if os.name == "posix":  # make the rename durable; Windows cannot open a directory
+            fd = os.open(root, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise IoError(f"cannot write gallery {manifest}: {exc}") from exc
 

@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -407,13 +409,18 @@ def test_help_exits_zero(capsys):
     assert "--train-k" in capsys.readouterr().out
 
 
+def _module_env():
+    """The environment of a `python -m sigfd` child: this checkout's sources, 80 columns."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "COLUMNS": "80",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_m_sigfd_runs_the_cli(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
     def module_run(*argv):
-        return subprocess.run([sys.executable, "-m", "sigfd", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", "sigfd", *argv], env=_module_env(),
                               capture_output=True, text=True, timeout=60)
 
     helped = module_run("--help")
@@ -565,3 +572,162 @@ def test_blank_probe_is_a_data_error(tmp_path, gallery_dir):
     blank = tmp_path / "blank.pgm"
     save_image(GrayImage(np.full((64, 64), 255, dtype=np.uint8)), blank)
     assert run(["identify", str(gallery_dir), str(blank)]) == 2
+
+
+# --- one parser per process --------------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    """`run`'s shared parser cleared before the test, and again afterwards."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_run_builds_one_parser_per_process(fresh_parser, monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["--help"], ["identify", "--help"], ["frobnicate"], ["enroll"],
+                 ["identify", "--help"], ["synth", "--help"]):
+        run(argv)
+    assert len(built) == 1
+
+
+def test_a_shared_parser_answers_as_a_fresh_process(fresh_parser, tmp_path, dataset_dir,
+                                                    gallery_dir, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    gal = str(gallery_dir)
+    lines = [(["identify", gal], 1),
+             (["identify", "--help"], 0),
+             (["identify", gal, str(tmp_path / "missing.pgm")], 2),
+             (["identify", gal, str(dataset_dir / "id001" / "s002.pgm")], 0),
+             (["identify", "--measure", "euclidean", gal,
+               str(dataset_dir / "id002" / "s003.pgm")], 0)]
+    for argv, code in lines:
+        fresh = subprocess.run([sys.executable, "-m", "sigfd", *argv], env=_module_env(),
+                               capture_output=True, text=True, timeout=60)
+        got = run(argv)
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert got == code
+
+
+def test_threads_share_the_parser_and_never_see_a_half_filled_subcommand(fresh_parser,
+                                                                          monkeypatch):
+    lines = [["identify", "g", "p.pgm"],
+             ["identify", "g", "--measure", "angle", "--no-slant", "q.pgm"],
+             ["verify", "g", "a", "--threshold", "2", "p.pgm"],
+             ["verify", "g", "b", "--threshold", "3", "--median-window", "5", "q.pgm"]]
+    want = [build_parser().parse_args(argv) for argv in lines]
+    for name in ("_identify_args", "_verify_args"):
+        fill = getattr(cli, name)
+
+        def slowed(sp, fill=fill):
+            time.sleep(0.05)  # a thread switch inside the fill
+            fill(sp)
+
+        monkeypatch.setattr(cli, name, slowed)
+    shared = cli._parser()  # built, no subcommand filled yet
+    barrier = threading.Barrier(len(lines))
+    got = [None] * len(lines)
+
+    def parse(i):
+        barrier.wait(timeout=30)
+        parser = cli._parser()
+        try:
+            got[i] = (parser is shared, parser.parse_args(lines[i]))
+        except SystemExit as exc:
+            got[i] = (parser is shared, exc)
+
+    threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(lines))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [(True, args) for args in want]
+
+
+def test_a_fill_that_raised_runs_again(fresh_parser, monkeypatch):
+    calls = []
+
+    def flaky(sp, fill=cli._synth_args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("interrupted")
+        fill(sp)
+
+    monkeypatch.setattr(cli, "_synth_args", flaky)
+    with pytest.raises(RuntimeError):
+        cli._parser().parse_args(["synth", "out"])
+    assert cli._parser().parse_args(["synth", "out", "--seed", "4"]) == \
+        build_parser().parse_args(["synth", "out", "--seed", "4"])
+    assert len(calls) == 3  # the failed fill, its retry, and the fresh parser's
+
+
+# --- concurrent and interrupted enrollment -------------------------------------------
+
+_ENROLL_CHILD = """
+import sys, time
+from pathlib import Path
+from sigfd import cli
+gal, tag, image, ready, n = sys.argv[1:6]
+Path(ready, tag).touch()
+while len(list(Path(ready).iterdir())) < 2:  # start together
+    time.sleep(0.001)
+for i in range(int(n)):
+    code = cli.run(["enroll", gal, f"{tag}{i}", image])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_two_processes_enrolling_into_one_gallery_lose_no_template(tmp_path, dataset_dir):
+    gal, ready, n = tmp_path / "gal", tmp_path / "ready", 6
+    ready.mkdir()
+    children = [subprocess.Popen([sys.executable, "-c", _ENROLL_CHILD, str(gal), tag,
+                                  str(dataset_dir / "id000" / "s000.pgm"), str(ready), str(n)],
+                                 env=_module_env(), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+                for tag in ("a", "b")]
+    for tag, child in zip(("a", "b"), children):
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (0, "")
+        assert out == "".join(f"enrolled 1 sample(s) for {tag}{i}\n" for i in range(n))
+    gallery = load_gallery(gal)
+    assert sorted(gallery.names) == sorted(f"{tag}{i}" for tag in "ab" for i in range(n))
+    assert len(gallery.columns) == 2 * n
+    assert [p.name for p in gal.iterdir()] == ["MANIFEST.siggal"]
+
+
+_KILLED_CHILD = """
+import os, signal, sys
+from sigfd import cli
+os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)
+cli.run(["enroll", *sys.argv[1:]])
+"""
+
+
+def test_an_enroll_killed_before_the_replace_keeps_the_previous_gallery(tmp_path, dataset_dir,
+                                                                        gallery_dir, capsys):
+    gal = tmp_path / "gal"
+    shutil.copytree(gallery_dir, gal)
+    before = (gal / "MANIFEST.siggal").read_bytes()
+    probe = str(dataset_dir / "id001" / "s003.pgm")
+    killed = subprocess.run([sys.executable, "-c", _KILLED_CHILD, str(gal), "idnew", probe],
+                            env=_module_env(), capture_output=True, timeout=60)
+    assert killed.returncode == -9
+    assert (gal / "MANIFEST.siggal").read_bytes() == before
+    assert load_gallery(gal).names == ("id000", "id001", "id002")
+    # it died holding a written temporary file and the lock; neither is in the way
+    assert len([p for p in gal.iterdir() if p.name.endswith(".tmp")]) == 1
+    capsys.readouterr()
+    assert run(["enroll", str(gal), "idnew", probe]) == 0
+    assert capsys.readouterr().out == "enrolled 1 sample(s) for idnew\n"
+    assert load_gallery(gal).names == ("id000", "id001", "id002", "idnew")
+    assert "MANIFEST.siggal.lock" not in {p.name for p in gal.iterdir()}

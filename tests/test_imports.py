@@ -8,9 +8,15 @@ module no longer calls them.
 The same holds for `PipelineConfig.meta`, which returns the config itself
 and is kept only for `bench/workloads.py`: no `sigfd` module reads a
 `.meta` attribute.
+
+Importing the command line leaves `numpy.random` unloaded, so a fresh
+`sigfd` process pays for it only when it generates or evaluates.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +56,13 @@ def test_no_module_reads_a_meta_attribute(path):
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "meta"]
     assert reads == []
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    """numpy.random loads only when the synthetic generator or `evaluate` runs."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c",
+                             "import sys, sigfd.cli; print('numpy.random' in sys.modules)"],
+                            env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert loaded.stdout == "False\n"

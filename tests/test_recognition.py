@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import stat
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -833,6 +834,13 @@ def test_gallery_load_rejects_bad_names_in_the_index(tmp_path, tiny_gallery,
         manifest.write_bytes(good.replace(b"id000 s1", line.encode(), 1))
         with pytest.raises(FormatError, match="MANIFEST.siggal"):
             load_gallery(root)
+
+
+def test_saved_manifest_gets_the_mode_of_a_plain_write(tmp_path, tiny_gallery):
+    save_gallery(tiny_gallery, tmp_path / "gal")
+    (tmp_path / "plain").write_bytes(b"")
+    assert stat.S_IMODE((tmp_path / "gal" / "MANIFEST.siggal").stat().st_mode) == \
+        stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
 
 def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_gallery,
