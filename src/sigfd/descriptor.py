@@ -94,13 +94,15 @@ class FourierDescriptor:
 def dft(sequence: np.ndarray) -> np.ndarray:
     """Normalized spectrum a[n] = (1/N) sum_t u(t) exp(-2j pi n t / N).
 
-    N must be a power of two, at least 4.
+    N must be a power of two, at least 4.  The FFT applies the 1/N itself,
+    which for a power of two is exact: the values are those of dividing its
+    output by N.
     """
     u = np.asarray(sequence, dtype=np.float64)
     n = u.size
     if u.ndim != 1 or n < 4 or n & (n - 1):
         raise BadLength(f"need a 1-D power-of-two sequence of length >= 4, got shape {u.shape}")
-    return np.fft.fft(u) / n
+    return np.fft.fft(u, norm="forward")
 
 
 def normalize_descriptor(spectrum: np.ndarray, k: int) -> np.ndarray:

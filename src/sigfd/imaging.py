@@ -177,26 +177,58 @@ def median_filter(img: GrayImage, window: int = 3) -> GrayImage:
     edge-padded frame is sorted once into low, middle and high, and every
     output pixel is then the median of the largest of its three columns'
     lows, the median of their middles and the smallest of their highs.
+    The network runs on 1-D slices of the flattened frame, where vertical
+    neighbours lie w + 2 apart and horizontal ones 1 apart; the last two
+    columns of each row of the result straddle two rows and are cropped.
     Other windows take `np.median` over a sliding-window view.
     """
     _check_window(window)
     px = img.pixels
     h, w = px.shape
     if window == 3:
-        padded = np.empty((h + 2, w + 2), dtype=np.uint8)
+        s = w + 2
+        n = h * s + 2
+        # two spare bytes let every slice below run to the end of the last row
+        flat = np.zeros((h + 2) * s + 2, dtype=np.uint8)
+        padded = flat[:-2].reshape(h + 2, s)
         padded[1:-1, 1:-1] = px
         padded[0, 1:-1], padded[-1, 1:-1] = px[0], px[-1]
         padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
-        lo, mid = _sort2(padded[:-2], padded[1:-1])
-        mid, hi = _sort2(mid, padded[2:])
+        lo, mid = _sort2(flat[:n], flat[s:s + n])
+        mid, hi = _sort2(mid, flat[2 * s:])
         lo, mid = _sort2(lo, mid)
-        lows = np.maximum(np.maximum(lo[:, :-2], lo[:, 1:-1]), lo[:, 2:])
-        highs = np.minimum(np.minimum(hi[:, :-2], hi[:, 1:-1]), hi[:, 2:])
-        return GrayImage(_median3(lows, _median3(mid[:, :-2], mid[:, 1:-1], mid[:, 2:]), highs))
+        lows = np.maximum(np.maximum(lo[:-2], lo[1:-1]), lo[2:])
+        highs = np.minimum(np.minimum(hi[:-2], hi[1:-1]), hi[2:])
+        med = _median3(lows, _median3(mid[:-2], mid[1:-1], mid[2:]), highs)
+        return GrayImage(np.ascontiguousarray(med.reshape(h, s)[:, :w]))
     padded = np.pad(px, window // 2, mode="edge")
     view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     med = np.median(view.reshape(h, w, -1), axis=2)
     return GrayImage(med.astype(np.uint8))
+
+
+def _histogram(px: np.ndarray) -> np.ndarray:
+    """Pixel count per gray level; paper is most of a scan, so only the rest is gathered."""
+    ink = px[px != BACKGROUND]
+    hist = np.bincount(ink, minlength=256)
+    hist[BACKGROUND] += px.size - ink.size
+    return hist
+
+
+def _otsu(hist: np.ndarray) -> int:
+    hist = hist.astype(np.float64)
+    csum = np.cumsum(hist)
+    msum = np.cumsum(hist * np.arange(256))
+    w0 = csum[:-1]
+    w1 = csum[-1] - w0
+    s0 = msum[:-1]
+    s1 = msum[-1] - s0
+    # a class is empty only below the darkest or from the lightest level on,
+    # where the 0/0 is zeroed; every other threshold scores at least 1
+    with np.errstate(invalid="ignore"):
+        var = w0 * w1 * (s0 / w0 - s1 / w1) ** 2
+    var[(w0 == 0) | (w1 == 0)] = 0.0
+    return int(np.argmax(var)) + 1
 
 
 def otsu_threshold(pixels: np.ndarray) -> int:
@@ -206,22 +238,7 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     the smallest threshold.  Caller must ensure the histogram has two
     nonempty classes for some threshold (i.e. the image is not constant).
     """
-    px = np.asarray(pixels, dtype=np.uint8)
-    # paper is most of a scan, so only the other pixels are counted
-    ink = px[px != BACKGROUND]
-    hist = np.bincount(ink, minlength=256)
-    hist[BACKGROUND] += px.size - ink.size
-    hist = hist.astype(np.float64)
-    csum = np.cumsum(hist)
-    msum = np.cumsum(hist * np.arange(256))
-    w0 = csum[:-1]
-    w1 = csum[-1] - w0
-    s0 = msum[:-1]
-    s1 = msum[-1] - s0
-    valid = (w0 > 0) & (w1 > 0)
-    var = np.zeros(255)
-    var[valid] = w0[valid] * w1[valid] * (s0[valid] / w0[valid] - s1[valid] / w1[valid]) ** 2
-    return int(np.argmax(var)) + 1
+    return _otsu(_histogram(np.asarray(pixels, dtype=np.uint8)))
 
 
 def binarize(img: GrayImage, threshold: int | None = None) -> np.ndarray:
@@ -232,10 +249,11 @@ def binarize(img: GrayImage, threshold: int | None = None) -> np.ndarray:
     """
     _check_threshold(threshold)
     px = img.pixels
-    if px.min() == px.max():
+    hist = _histogram(px)
+    if hist.max() == px.size:
         return np.zeros(px.shape, dtype=bool)
     if threshold is None:
-        threshold = otsu_threshold(px)
+        threshold = _otsu(hist)
     return px < threshold
 
 
@@ -252,8 +270,9 @@ def estimate_orientation(mask: np.ndarray) -> float:
     ys, xs = np.divmod(np.flatnonzero(mask), mask.shape[1])
     if xs.size < 2:
         raise TooFewPixels(f"orientation needs >= 2 foreground pixels, got {xs.size}")
-    x = xs - xs.mean()
-    y = ys - ys.mean()
+    # the integer sums are exact, so each quotient has the bits of mean()
+    x = xs - xs.sum() / xs.size
+    y = ys - ys.sum() / ys.size
     mu20 = float((x * x).sum())
     mu02 = float((y * y).sum())
     mu11 = float((x * y).sum())
@@ -277,16 +296,23 @@ def _sample_bilinear(px: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: int) 
     padded = np.full((h + 3, stride), fill, dtype=np.uint8)
     padded[1:h + 1, 1:w + 1] = px
     flat = padded.ravel()
-    xs = np.clip(xs, -1.0, w)
-    ys = np.clip(ys, -1.0, h)
-    x0, y0 = np.floor(xs), np.floor(ys)
-    fx, fy = xs - x0, ys - y0
+    fx = np.clip(xs, -1.0, w)
+    fy = np.clip(ys, -1.0, h)
+    x0, y0 = np.floor(fx), np.floor(fy)
     base = ((y0 + 1.0) * stride + (x0 + 1.0)).astype(np.intp)
+    fx -= x0
+    fy -= y0
+    # the weight products, the weighted taps and their running sum are
+    # written in place: 0 + w00 t00 + w01 t01 + w10 t10 + w11 t11
+    cols = ((1.0 - fx, flat), (fx, flat[1:]))
     out = np.zeros(base.shape)
-    for wy, row in ((1.0 - fy, flat), (fy, flat[stride:])):
-        for wx, taps in ((1.0 - fx, row), (fx, row[1:])):
-            out += (wy * wx) * taps.take(base)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    term = np.empty(base.shape)
+    for wy, row in ((1.0 - fy, 0), (fy, stride)):
+        for wx, taps in cols:
+            np.multiply(wy, wx, out=term)
+            term *= taps[row:].take(base)
+            out += term
+    return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
 
 
 # Above this share of non-BACKGROUND pixels `warp_similarity` samples the
@@ -301,18 +327,22 @@ def _reachable(fx: np.ndarray, fy: np.ndarray, shape: tuple[int, int], r: int) -
     """Flat indices, ascending, of the pixels of a (h, w) frame within `r`
     (L-infinity) of some point (rint(fx), rint(fy))."""
     h, w = shape
-    fx, fy = np.rint(fx), np.rint(fy)
-    # a point more than r outside the frame reaches no pixel; the bounds are
-    # tested on the floats, as an int cast of 1e300 would not be defined
-    keep = (fx >= -r) & (fx <= w - 1 + r) & (fy >= -r) & (fy <= h - 1 + r)
-    marks = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
-    marks[fy[keep].astype(np.intp) + r, fx[keep].astype(np.intp) + r] = True
+    # a point more than r outside the frame reaches no pixel, so each is
+    # clipped to at most r + 1 outside it, onto a ring the crops below drop;
+    # the floats are clipped, as an int cast of 1e300 would not be defined
+    pad = r + 1
+    width = w + 2 * pad
+    xs = np.clip(np.rint(fx), -pad, w - 1 + pad).astype(np.intp)
+    ys = np.clip(np.rint(fy), -pad, h - 1 + pad).astype(np.intp)
+    marks = np.zeros((h + 2 * pad) * width, dtype=bool)
+    marks[(ys + pad) * width + (xs + pad)] = True
+    marks = marks.reshape(h + 2 * pad, width)
     # separable dilation by shifted ORs, each axis cropped back to the frame
-    cols = marks[:, :w].copy()
-    for k in range(1, 2 * r + 1):
+    cols = marks[:, 1:w + 1].copy()
+    for k in range(2, 2 * r + 2):
         cols |= marks[:, k:k + w]
-    near = cols[:h].copy()
-    for k in range(1, 2 * r + 1):
+    near = cols[1:h + 1].copy()
+    for k in range(2, 2 * r + 2):
         near |= cols[k:k + h]
     return np.flatnonzero(near)
 
@@ -360,13 +390,22 @@ def warp_similarity(img: GrayImage, rotation: float = 0.0, scale: float = 1.0,
     else:
         ys, xs = np.divmod(np.flatnonzero(ink), w)
         u, v = xs - cx, ys - cy
-        near = _reachable(scale * (ca * u - sa * v) + cx + dx, scale * (sa * u + ca * v) + cy + dy,
+        # the forward map only bounds where ink lands, so the order of its
+        # float operations is free: the 1e-6 covers far more than their error
+        sc, ss = scale * ca, scale * sa
+        near = _reachable(sc * u - ss * v + (cx + dx), ss * u + sc * v + (cy + dy),
                           (h, w), math.floor(reach + 0.5 + 1e-6))
         rows, cols = np.divmod(near, w)
     yy = rows - cy - dy
     xx = cols - cx - dx
-    samples = _sample_bilinear(px, (ca * xx + sa * yy) / scale + cx,
-                               (-sa * xx + ca * yy) / scale + cy, BACKGROUND)
+    sx = ca * xx + sa * yy
+    sy = -sa * xx + ca * yy
+    if scale != 1.0:  # x / 1.0 is x
+        sx /= scale
+        sy /= scale
+    sx += cx
+    sy += cy
+    samples = _sample_bilinear(px, sx, sy, BACKGROUND)
     if dense:
         return GrayImage(samples)
     out = np.full(h * w, BACKGROUND, dtype=np.uint8)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigfd.descriptor import (FourierDescriptor, PipelineConfig,
+from sigfd.descriptor import (NORMALIZER_EPS, FourierDescriptor, PipelineConfig,
                               describe_each, dft,
                               extract_features, load_descriptor,
                               normalize_descriptor, save_descriptor)
@@ -32,6 +32,29 @@ def test_dft_matches_naive_oracle():
     for exp in range(2, 9):
         u = rng.normal(size=2 ** exp) * 100
         assert np.abs(dft(u) - _naive_spectrum(u)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(2, 13)])
+@settings(deadline=None, max_examples=20)
+@given(kind=st.sampled_from(["pixels", "normal", "sparse", "constant"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dft_scaled_by_the_fft_has_the_values_of_dividing_by_n(n, kind, seed):
+    # `dft` used to divide the FFT's output by N.  That complex division
+    # computes re + im * 0, which can flip the sign of a zero component, so
+    # the bytes may differ there and nowhere else; the magnitudes never see it.
+    rng = np.random.default_rng(seed)
+    u = {"pixels": lambda: rng.integers(0, 256, n) * 64.0,
+         "normal": lambda: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300),
+         "sparse": lambda: np.where(rng.random(n) < 0.1, rng.standard_normal(n), -0.0),
+         "constant": lambda: np.full(n, float(rng.integers(-3, 256)))}[kind]()
+    a, previous = dft(u), np.fft.fft(u) / n
+    assert a.dtype == previous.dtype and np.array_equal(a, previous)
+    moved = a.view(np.uint64) != previous.view(np.uint64)
+    assert not a.view(np.float64)[moved].any()
+    if abs(a[1]) > NORMALIZER_EPS:
+        k = min(64, n - 2)
+        assert (normalize_descriptor(a, k).tobytes()
+                == normalize_descriptor(previous, k).tobytes())
 
 
 def test_dft_rejects_bad_lengths():

@@ -512,7 +512,7 @@ def test_warp_rejects_nonpositive_scale():
             warp_similarity(img, **kwargs)
 
 
-def _full_frame(px, rotation, scale, dx, dy):
+def _full_frame(px, rotation, scale, dx, dy, sampler=_sample_bilinear):
     """The bilinear sampler over every output pixel of the frame."""
     h, w = px.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
@@ -520,7 +520,7 @@ def _full_frame(px, rotation, scale, dx, dy):
     ca, sa = math.cos(rotation), math.sin(rotation)
     xs = (ca * xx + sa * yy) / scale + cx
     ys = (-sa * xx + ca * yy) / scale + cy
-    return _sample_bilinear(px, xs, ys, BACKGROUND)
+    return sampler(px, xs, ys, BACKGROUND)
 
 
 def test_warp_far_translation_is_paper_and_huge_scale_samples_the_centre():
@@ -778,3 +778,153 @@ def test_preprocess_pixels_match_the_golden_digest(bench_module):
         for (px,) in scrawl.make_identities(0, "golden", 16, 1):
             digest.update(preprocess(GrayImage(px), config).pixels.tobytes())
     assert digest.hexdigest() == _GOLDEN_PREPROCESS
+
+
+# --- the trimmed stages against their previous code ------------------------------------
+#
+# Each stage is compared with a copy of the code a cheaper one replaced, and
+# must give the same bytes: the 3x3 network on 2-D slices, binarize with a
+# min/max constant test and Otsu's boolean gathers (as in
+# `_otsu_bincount_reference`), the centroid by mean() (as in
+# `_orientation_nonzero_reference`), and a sampler that allocated every
+# weight, product and sum afresh.
+
+def _median3x3_previous(px):
+    def sort2(a, b):
+        return np.minimum(a, b), np.maximum(a, b)
+
+    def median3(a, b, c):
+        lo, hi = sort2(a, b)
+        return np.maximum(lo, np.minimum(hi, c))
+
+    h, w = px.shape
+    padded = np.empty((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = px
+    padded[0, 1:-1], padded[-1, 1:-1] = px[0], px[-1]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+    lo, mid = sort2(padded[:-2], padded[1:-1])
+    mid, hi = sort2(mid, padded[2:])
+    lo, mid = sort2(lo, mid)
+    lows = np.maximum(np.maximum(lo[:, :-2], lo[:, 1:-1]), lo[:, 2:])
+    highs = np.minimum(np.minimum(hi[:, :-2], hi[:, 1:-1]), hi[:, 2:])
+    return median3(lows, median3(mid[:, :-2], mid[:, 1:-1], mid[:, 2:]), highs)
+
+
+def _binarize_previous(px, threshold):
+    if px.min() == px.max():
+        return np.zeros(px.shape, dtype=bool)
+    return px < (_otsu_bincount_reference(px) if threshold is None else threshold)
+
+
+def _sample_bilinear_previous(px, xs, ys, fill):
+    h, w = px.shape
+    stride = w + 3
+    padded = np.full((h + 3, stride), fill, dtype=np.uint8)
+    padded[1:h + 1, 1:w + 1] = px
+    flat = padded.ravel()
+    xs = np.clip(xs, -1.0, w)
+    ys = np.clip(ys, -1.0, h)
+    x0, y0 = np.floor(xs), np.floor(ys)
+    fx, fy = xs - x0, ys - y0
+    base = ((y0 + 1.0) * stride + (x0 + 1.0)).astype(np.intp)
+    out = np.zeros(base.shape)
+    for wy, row in ((1.0 - fy, flat), (fy, flat[stride:])):
+        for wx, taps in ((1.0 - fx, row), (fx, row[1:])):
+            out += (wy * wx) * taps.take(base)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def _preprocess_previous(px, config):
+    """`preprocess` chaining the previous stages: the rotation samples the
+    whole frame, which the ink-bounded warp equals, and the rescale runs
+    with the previous sampler."""
+    out = (_median3x3_previous(px) if config.median_window == 3
+           else median_filter(GrayImage(px), config.median_window).pixels)
+    if config.slant_enabled:
+        mask = _binarize_previous(out, config.binarize_threshold)
+        if np.count_nonzero(mask) >= 2:
+            theta = _orientation_nonzero_reference(mask)
+            if theta != 0.0:
+                out = _full_frame(out, -theta, 1.0, 0.0, 0.0, _sample_bilinear_previous)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "_sample_bilinear", _sample_bilinear_previous)
+        return scale_normalize(GrayImage(out), config.target_size).pixels
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _stage_frames(draw):
+    """Paper with ink on up to `_DENSE_INK_SHARE` of the frame, ink on more
+    of it (over paper of 255 or of 254), one level throughout (255 being all
+    paper), or noise; from 1x1 up, 1xN and Nx1 included."""
+    h, w = draw(st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                          st.tuples(st.just(1), st.integers(1, 300)),
+                          st.tuples(st.integers(1, 300), st.just(1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sparse", "dense", "constant", "noise"]))
+    if kind == "constant":
+        return np.full((h, w), draw(st.sampled_from([BACKGROUND, 254, 0, 97])), dtype=np.uint8)
+    if kind == "noise":
+        return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    share = imaging._DENSE_INK_SHARE
+    lo, hi = (0.0, share) if kind == "sparse" else (share, 1.0)
+    px = np.full((h, w), BACKGROUND if kind == "sparse" else draw(st.sampled_from([255, 254])),
+                 dtype=np.uint8)
+    ink = rng.random((h, w)) < draw(st.floats(lo, hi))
+    px[ink] = rng.integers(0, BACKGROUND, size=int(ink.sum()))
+    return px
+
+
+@settings(deadline=None, max_examples=300)
+@given(px=_stage_frames(), threshold=st.one_of(st.none(), st.integers(0, 255)))
+@example(px=np.full((1, 1), 7, dtype=np.uint8), threshold=None)
+@example(px=np.array([[0, 255, 255]], dtype=np.uint8), threshold=None)
+@example(px=np.array([[254], [255], [254]], dtype=np.uint8), threshold=255)
+def test_trimmed_median_binarize_and_orientation_keep_the_previous_bytes(px, threshold):
+    med = median_filter(GrayImage(px), 3).pixels
+    assert med.flags.c_contiguous and _same_bytes(med, _median3x3_previous(px))
+    assert otsu_threshold(px) == _otsu_bincount_reference(px)
+    mask = binarize(GrayImage(px), threshold)
+    assert _same_bytes(mask, _binarize_previous(px, threshold))
+    for bits in (mask, mask.T, px != BACKGROUND):
+        if np.count_nonzero(bits) >= 2:
+            assert _same_bytes(estimate_orientation(bits), _orientation_nonzero_reference(bits))
+
+
+@settings(deadline=None, max_examples=200)
+@given(px=_stage_frames(), data=st.data(), fill=st.sampled_from([0, BACKGROUND]))
+def test_in_place_sampler_keeps_the_previous_bytes(px, data, fill):
+    h, w = px.shape
+
+    def coordinates(n):
+        return np.concatenate([_axis_coordinates(n),
+                               data.draw(st.lists(st.floats(-3.0, n + 2.0), max_size=8))])
+
+    xs, ys = coordinates(w), coordinates(h)
+    gx, gy = np.meshgrid(xs, ys)
+    # a row of xs against a column of ys, as `scale_normalize` passes them,
+    # and full grids, as `warp_similarity` does
+    for x, y in ((xs[None, :], ys[:, None]), (gx, gy), (gx[:, ::-1], gy[::-1])):
+        given_x, given_y = x.copy(), y.copy()
+        out = _sample_bilinear(px, x, y, fill)
+        assert _same_bytes(out, _sample_bilinear_previous(px, x, y, fill))
+        assert _same_bytes(x, given_x) and _same_bytes(y, given_y)
+
+
+@pytest.mark.parametrize("config", [
+    PreprocessConfig(),
+    PreprocessConfig(target_size=(128, 64), binarize_threshold=128),
+    PreprocessConfig(median_window=1, target_size=(512, 256)),
+], ids=["default", "threshold-128-at-128x64", "median-1-at-512x256"])
+def test_preprocess_keeps_the_previous_chains_bytes(bench_module, config):
+    # bench scrawls, on paper of 255 and, sampled over the whole frame, of 254
+    scrawl = bench_module("scrawl")
+    for seed in (3, 4):
+        for (px,) in scrawl.make_identities(seed, "evaluate-grid", 6, 1):
+            for page in (px, np.where(px == BACKGROUND, 254, px).astype(np.uint8)):
+                assert _same_bytes(preprocess(GrayImage(page), config).pixels,
+                                   _preprocess_previous(page, config))

@@ -792,20 +792,27 @@ def test_gallery_owns_its_names(tiny_gallery, fuzz_v3):
     # a table read from a file has its names checked too
     with pytest.raises(FormatError, match="sample_id"):
         _load_manifest(fuzz_v3[0], _v3(samples=b"s0\ns 1\n"))
+    # of two bad names in a stored table, the first is the one reported
+    for names, first in ((b"b c\n-a\n", "b c"), (b"-a\nb c\n", "-a")):
+        with pytest.raises(FormatError, match=f"identity must be .*, got '{first}'$"):
+            _load_manifest(fuzz_v3[0], _v3(names=names))
+    with pytest.raises(ValueError, match=r"sample_id must be .*, got 's 0'$"):
+        Gallery._from_tables(_FUZZ_CONFIG, ("ann",), np.zeros(2), ("s 0", ".s"), np.arange(2),
+                             np.ones((2, 4)))
 
 
 def test_load_and_save_check_each_distinct_name_once(tmp_path, tiny_dataset, write_v2_gallery):
+    # a name is checked by one match of the name pattern, whether a whole
+    # table is matched at once or `_check_name` checks one name
     identities = tuple(f"id{i % 100:03d}" for i in range(1000))
     sample_ids = tuple(f"s{i // 100}" for i in range(1000))
     gallery = Gallery._from_keys(_FUZZ_CONFIG, identities, sample_ids, np.ones((1000, 4)))
-    with mock.patch.object(recognition, "_check_name",
-                           wraps=recognition._check_name) as check:
+    with mock.patch.object(recognition, "_NAME_RE", wraps=recognition._NAME_RE) as pattern:
         save_gallery(gallery, tmp_path / "gal")
-        assert check.call_count == 0  # the gallery was checked when it was built
+        assert pattern.match.call_count == 0  # the gallery was checked when it was built
         back = load_gallery(tmp_path / "gal")
-    assert check.call_count == 100 + 10
-    assert [c.args for c in check.call_args_list[:2]] == [("id000", "identity"),
-                                                          ("id001", "identity")]
+    assert pattern.match.call_count == 100 + 10
+    assert [c.args for c in pattern.match.call_args_list[:2]] == [("id000",), ("id001",)]
     assert back.identities == identities and back.sample_ids == sample_ids
     # every other way of building one checks each distinct name once, and
     # enroll checks only the names it adds
@@ -813,10 +820,9 @@ def test_load_and_save_check_each_distinct_name_once(tmp_path, tiny_dataset, wri
     templates = gallery.templates
     for build in (lambda: Gallery(_FUZZ_CONFIG, templates), lambda: load_gallery(tmp_path / "v2"),
                   lambda: copy.deepcopy(gallery), lambda: pickle.loads(pickle.dumps(gallery))):
-        with mock.patch.object(recognition, "_check_name",
-                               wraps=recognition._check_name) as check:
+        with mock.patch.object(recognition, "_NAME_RE", wraps=recognition._NAME_RE) as pattern:
             _assert_same_gallery(build(), gallery)
-        assert check.call_count == 100 + 10
+        assert pattern.match.call_count == 100 + 10
     with mock.patch.object(recognition, "_check_name", wraps=recognition._check_name) as check:
         bigger = enroll(gallery, "new", [("s0", tiny_dataset["id000"][0])], _FUZZ_CONFIG)
     assert [c.args for c in check.call_args_list] == [("new", "identity"), ("s0", "sample_id")]
