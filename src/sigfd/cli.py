@@ -12,7 +12,6 @@ import functools
 import itertools
 import os
 import sys
-import threading
 from pathlib import Path
 
 try:
@@ -38,36 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose arguments are added only to the one being parsed.
-
-    Every subcommand is registered with its help at once, so the top-level
-    help and choices are complete; `add_parser` takes a `fill` function
-    that adds the subcommand's arguments, and it runs when that subcommand
-    is chosen, before its parser sees the rest of the command line.  The
-    lookup and the fill hold one lock, so threads sharing the parser never
-    parse against a half-filled subcommand, and a fill is forgotten only
-    once it has returned, so one that raised runs again on the next parse.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fill = {}
-        self._lock = threading.Lock()
-
-    def add_parser(self, name, *, fill, **kwargs):
-        self._fill[name] = fill
-        return super().add_parser(name, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        with self._lock:
-            fill = self._fill.get(values[0])
-            if fill is not None:
-                fill(self._name_parser_map[values[0]])
-                del self._fill[values[0]]
-        super().__call__(parser, namespace, values, option_string)
 
 
 def _vetted(value: int, check) -> int:
@@ -354,18 +323,16 @@ def _synth_args(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; a subcommand's arguments are added when it is parsed."""
+    """The parser, with every subcommand's arguments."""
     parser = _Parser(prog="sigfd",
                      description="Offline signature recognition with "
                                  "wavelet-domain Fourier descriptors.")
-    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
-    sub.add_parser("enroll", fill=_enroll_args,
-                   help="extract and store templates for one identity")
-    sub.add_parser("identify", fill=_identify_args, help="match a probe against every identity")
-    sub.add_parser("verify", fill=_verify_args, help="accept or reject a claimed identity")
-    sub.add_parser("evaluate", fill=_evaluate_args,
-                   help="recognition-rate grid over a labeled dataset")
-    sub.add_parser("synth", fill=_synth_args, help="generate a labeled synthetic dataset")
+    sub = parser.add_subparsers(dest="command", required=True)
+    _enroll_args(sub.add_parser("enroll", help="extract and store templates for one identity"))
+    _identify_args(sub.add_parser("identify", help="match a probe against every identity"))
+    _verify_args(sub.add_parser("verify", help="accept or reject a claimed identity"))
+    _evaluate_args(sub.add_parser("evaluate", help="recognition-rate grid over a labeled dataset"))
+    _synth_args(sub.add_parser("synth", help="generate a labeled synthetic dataset"))
     return parser
 
 

@@ -35,8 +35,8 @@ class DistanceMeasure:
         if self.name not in MEASURE_NAMES:
             known = ", ".join(MEASURE_NAMES)
             raise ValueError(f"unknown measure {self.name!r}, expected one of: {known}")
-        if not self.p > 0:
-            raise ValueError(f"minkowski order must be positive, got {self.p!r}")
+        if not 0 < self.p < np.inf:
+            raise ValueError(f"minkowski order must be positive and finite, got {self.p!r}")
 
 
 # Gallery rows are scanned this many at a time, so the working set stays

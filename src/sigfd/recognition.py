@@ -285,8 +285,7 @@ def verify(gallery: Gallery, claimed: str, probe: GrayImage, measure: DistanceMe
     if code == len(gallery.names) or gallery.names[code] != claimed:
         raise UnknownIdentity(f"{claimed!r} has no enrolled templates")
     rows = gallery.magnitudes[gallery.columns == code]
-    d = float(_identity_minima(measure, fd.magnitudes[None], rows,
-                               np.zeros(len(rows), dtype=np.intp), 1)[0, 0])
+    d = float(pairwise_distances(measure, fd.magnitudes[None], rows).min())
     return VerifyResult(d <= threshold, d)
 
 
@@ -583,16 +582,14 @@ def save_gallery(gallery: Gallery, root) -> None:
 
 
 def load_gallery(root) -> Gallery:
-    """Read a gallery written by `save_gallery`, or a read-only v2 gallery.
+    """Read a gallery written by `save_gallery` (SIGGAL v3).
 
-    A v3 manifest is read in place: the code columns and the magnitude
+    The manifest is read in place: the code columns and the magnitude
     matrix are views of the file's bytes, and the only Python work is per
-    distinct name.  A v2 gallery holds no preprocessing and reads as the
-    default one.  A header whose configuration its target cannot carry is a
-    `FormatError`.  A manifest holds every template; `*.sigfd` files beside
-    it are ignored.  A v1 gallery, a manifest over one descriptor file per
-    template, is no longer read: it is a `FormatError` that says to
-    re-enroll from the images.
+    distinct name.  A header whose configuration its target cannot carry is
+    a `FormatError`.  A manifest holds every template; `*.sigfd` files
+    beside it are ignored.  A v1 or v2 gallery is no longer read: it is a
+    `FormatError` that says to re-enroll from the images.
     """
     root = Path(root)
     manifest = root / MANIFEST_NAME
@@ -608,14 +605,12 @@ def load_gallery(root) -> Gallery:
         raise FormatError(f"{manifest}: bad gallery header: {exc}") from exc
     fields = header.split()
     version = fields[1] if fields[:1] == [_GAL_MAGIC] and len(fields) > 1 else None
-    if version == "v1":
-        raise FormatError(f"{manifest}: SIGGAL v1 galleries are no longer read; "
+    if version in ("v1", "v2"):
+        raise FormatError(f"{manifest}: SIGGAL {version} galleries are no longer read; "
                           "re-enroll the identities from their images")
-    if len(fields) != {"v2": 6, _GAL_VERSION: 15}.get(version):
+    if version != _GAL_VERSION or len(fields) != 15:
         raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
     try:
-        if version == "v2":
-            return _load_v2(_header_config(*fields[2:5]), fields[5], data[body:])
         return _load_v3(_header_config(*fields[2:10]), fields[10:], data, body)
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
@@ -651,24 +646,6 @@ def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:
         raise ValueError(f"the {what} table needs {n} newline-terminated names "
                          f"in {len(raw)} bytes")
     return tuple(names)
-
-
-def _load_v2(config: PipelineConfig, count: str, rest: bytes) -> Gallery:
-    """The v2 layout: `count` `<identity> <sample_id>` index lines, then the payload."""
-    # every index line takes at least one byte, which bounds count before
-    # it sizes the split and the payload
-    if not count.isdigit() or int(count) > len(rest):
-        raise ValueError(f"bad template count {count!r}")
-    count = int(count)
-    index = rest.split(b"\n", count)
-    payload = index.pop()
-    if len(index) != count or len(payload) != 8 * count * config.k:
-        raise ValueError(f"{count} templates need {count} index lines and "
-                         f"{8 * count * config.k} payload bytes")
-    keys = [line.decode("ascii").partition(" ")[::2] for line in index]
-    return Gallery._from_keys(config, tuple(identity for identity, _ in keys),
-                              tuple(sample_id for _, sample_id in keys),
-                              np.frombuffer(payload, dtype="<f8").reshape(count, config.k))
 
 
 def save_dataset(dataset: dict[str, list[GrayImage]], root) -> int:

@@ -4,7 +4,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -246,31 +245,27 @@ def _with_v3_header(data: bytes, old: bytes, new: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("levels", [str(2 ** 63), "99999999999999999999"])
-def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, write_v2_gallery,
-                                    capsys, levels):
+def test_huge_levels_are_bad_levels(tmp_path, dataset_dir, gallery_dir, capsys, levels):
     probe = str(dataset_dir / "id000" / "s002.pgm")
     capsys.readouterr()
     assert run(["enroll", str(tmp_path / "new"), "a", "--levels", levels, probe]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "BadLevels" in captured.err
     assert not (tmp_path / "new").exists()
-    # the same value in a stored gallery's header, v3 and v2, fails at load
+    # the same value in a stored gallery's header fails at load
     good = (gallery_dir / "MANIFEST.siggal").read_bytes()
-    v2 = (write_v2_gallery(load_gallery(gallery_dir), tmp_path / "v2") / "MANIFEST.siggal")
-    huge = f" sym8 {levels} ".encode()
-    for name, data in (("v3", _with_v3_header(good, b" sym8 3 ", huge)),
-                       ("v2", v2.read_bytes().replace(b" sym8 3 ", huge, 1))):
-        gal = tmp_path / name
-        gal.mkdir(exist_ok=True)
-        (gal / "MANIFEST.siggal").write_bytes(data)
-        with pytest.raises(FormatError, match="MANIFEST.siggal: bad configuration: BadLevels"):
-            load_gallery(gal)
-        for argv in (["identify", str(gal), probe], ["verify", str(gal), "id000", "--threshold",
-                                                     "1", probe]):
-            assert run(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "FormatError" in captured.err and "BadLevels" in captured.err
+    gal = tmp_path / "gal"
+    gal.mkdir()
+    (gal / "MANIFEST.siggal").write_bytes(
+        _with_v3_header(good, b" sym8 3 ", f" sym8 {levels} ".encode()))
+    with pytest.raises(FormatError, match="MANIFEST.siggal: bad configuration: BadLevels"):
+        load_gallery(gal)
+    for argv in (["identify", str(gal), probe], ["verify", str(gal), "id000", "--threshold",
+                                                 "1", probe]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "FormatError" in captured.err and "BadLevels" in captured.err
 
 
 @pytest.mark.parametrize("flag,value,error", [
@@ -319,11 +314,11 @@ _SYNTH = ["synth", "{out}", "--identities", "1", "--samples", "1"]
 _FLOAT_FLAGS = [
     ("threshold", ["verify", "{gal}", "id001", "--threshold", "{v}", "{probe}"], 1, 0),
     ("minkowski-p-identify", ["identify", "{gal}", "--measure", "minkowski",
-                              "--minkowski-p", "{v}", "{probe}"], 1, 0),
+                              "--minkowski-p", "{v}", "{probe}"], 1, 1),
     ("minkowski-p-verify", ["verify", "{gal}", "id001", "--threshold", "1", "--measure",
-                            "minkowski", "--minkowski-p", "{v}", "{probe}"], 1, 0),
+                            "minkowski", "--minkowski-p", "{v}", "{probe}"], 1, 1),
     ("minkowski-p-evaluate", ["evaluate", "{data}", "--measures", "minkowski", "--families",
-                              "haar", "--train-k", "2", "--minkowski-p", "{v}"], 1, 0),
+                              "haar", "--train-k", "2", "--minkowski-p", "{v}"], 1, 1),
     ("rotation", _SYNTH + ["--rotation", "{v}"], 1, 1),
     ("translation", _SYNTH + ["--translation", "{v}"], 1, 1),
     ("scale-hi", _SYNTH + ["--scale", "0.9", "{v}"], 1, 1),
@@ -362,28 +357,37 @@ def test_corrupt_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir, ca
         assert "FormatError" in captured.err and "MANIFEST.siggal" in captured.err
 
 
-def test_v1_gallery_is_a_data_error_that_says_to_reenroll(tmp_path, dataset_dir, gallery_dir,
-                                                          capsys):
+def test_v1_and_v2_galleries_are_data_errors_that_say_to_reenroll(tmp_path, dataset_dir,
+                                                                   gallery_dir, capsys):
+    g = load_gallery(gallery_dir)
     # a v1 tree: a one-line manifest over one descriptor file per template
-    gal = tmp_path / "gal"
-    (gal / "id000").mkdir(parents=True)
-    (gal / "MANIFEST.siggal").write_text("SIGGAL v1 sym8 3 64\n", encoding="ascii")
-    for sample, row in zip(("s000", "s001"), load_gallery(gallery_dir).magnitudes):
-        (gal / "id000" / f"{sample}.sigfd").write_text(
+    v1 = tmp_path / "v1"
+    (v1 / "id000").mkdir(parents=True)
+    (v1 / "MANIFEST.siggal").write_text("SIGGAL v1 sym8 3 64\n", encoding="ascii")
+    for sample, row in zip(("s000", "s001"), g.magnitudes):
+        (v1 / "id000" / f"{sample}.sigfd").write_text(
             "SIGFD v1 sym8 3 64\n" + "".join(f"{v!r}\n" for v in row.tolist()))
-    before = _tree_bytes(gal)
+    # a v2 file: a `SIGGAL v2 <family> <levels> <k> <count>` header, one
+    # `<identity> <sample_id>` line per template, then the payload
+    v2 = tmp_path / "v2"
+    v2.mkdir()
+    lines = [f"SIGGAL v2 sym8 3 64 {len(g.columns)}",
+             *map(" ".join, zip(g.identities, g.sample_ids)), ""]
+    (v2 / "MANIFEST.siggal").write_bytes("\n".join(lines).encode() + g.magnitudes.tobytes())
     probe = str(dataset_dir / "id000" / "s002.pgm")
     capsys.readouterr()
-    for argv in (["identify", str(gal), probe],
-                 ["verify", str(gal), "id000", "--threshold", "1", probe],
-                 ["enroll", str(gal), "idnew", probe]):
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"sigfd: error: FormatError: {gal / 'MANIFEST.siggal'}: SIGGAL v1 "
-                                "galleries are no longer read; re-enroll the identities from "
-                                "their images\n")
-    assert _tree_bytes(gal) == before
+    for version, gal in (("v1", v1), ("v2", v2)):
+        before = _tree_bytes(gal)
+        for argv in (["identify", str(gal), probe],
+                     ["verify", str(gal), "id000", "--threshold", "1", probe],
+                     ["enroll", str(gal), "idnew", probe]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"sigfd: error: FormatError: {gal / 'MANIFEST.siggal'}: "
+                                    f"SIGGAL {version} galleries are no longer read; re-enroll "
+                                    "the identities from their images\n")
+        assert _tree_bytes(gal) == before
 
 
 def test_memory_error_is_a_data_error(tmp_path, dataset_dir, capsys, monkeypatch):
@@ -487,11 +491,12 @@ def readme_dataset(tmp_path_factory):
     return root
 
 
-V2_GALLERY = Path(__file__).resolve().parent / "data" / "v2-gallery"
+V3_GALLERY = Path(__file__).resolve().parent / "data" / "v3-gallery"
 
-# Outputs on tests/data/v2-gallery, captured with the CLI that wrote that file:
-# id000, id001 and id002 of `readme_dataset`, each enrolled from s000 and s001.
-_V2_ANSWERS = [
+# Outputs on tests/data/v3-gallery, captured with the CLI that wrote the SIGGAL v2
+# file it was converted from (by `save_gallery(load_gallery(...))`): id000, id001
+# and id002 of `readme_dataset`, each enrolled from s000 and s001.
+_PINNED_ANSWERS = [
     (["identify", "{gal}", "{data}/id000/s002.pgm"], "id000 1.108460\n"),
     (["identify", "{gal}", "{data}/id000/s003.pgm"], "id000 1.334914\n"),
     (["identify", "{gal}", "{data}/id001/s002.pgm"], "id001 1.604580\n"),
@@ -504,25 +509,22 @@ _V2_ANSWERS = [
 ]
 
 
-def test_a_v2_gallery_file_reads_and_answers_as_before(tmp_path, readme_dataset, capsys):
-    data = (V2_GALLERY / "MANIFEST.siggal").read_bytes()
-    head, _, rest = data.partition(b"\n")
-    assert head == b"SIGGAL v2 sym8 3 64 6"
-    index, payload = rest[:66].decode().splitlines(), rest[66:]
-    g = load_gallery(V2_GALLERY)
+def test_a_committed_gallery_file_reads_and_answers_as_before(tmp_path, readme_dataset, capsys):
+    data = (V3_GALLERY / "MANIFEST.siggal").read_bytes()
+    assert data.partition(b"\n")[0] == b"SIGGAL v3 sym8 3 64 3 256 256 1 - 6 3 18 2 10"
+    g = load_gallery(V3_GALLERY)
     assert g.config == PipelineConfig()
-    assert [f"{i} {s}" for i, s in zip(g.identities, g.sample_ids)] == index
-    assert g.magnitudes.tobytes() == payload
-    v3 = tmp_path / "v3"
-    save_gallery(g, v3)
+    assert g.identities == ("id000", "id000", "id001", "id001", "id002", "id002")
+    assert g.sample_ids == ("s000", "s001") * 3
+    save_gallery(g, tmp_path / "again")
+    assert (tmp_path / "again" / "MANIFEST.siggal").read_bytes() == data
     capsys.readouterr()
-    for gal in (V2_GALLERY, v3):
-        for argv, out in _V2_ANSWERS:
-            assert run([a.format(gal=gal, data=readme_dataset) for a in argv]) == 0
-            assert capsys.readouterr().out == out
-    # a v2 gallery reads as the default preprocessing, so another one is a mismatch
+    for argv, out in _PINNED_ANSWERS:
+        assert run([a.format(gal=V3_GALLERY, data=readme_dataset) for a in argv]) == 0
+        assert capsys.readouterr().out == out
+    # the file holds the default preprocessing, so another one is a mismatch
     probe = str(readme_dataset / "id001" / "s003.pgm")
-    assert run(["identify", str(V2_GALLERY), "--no-slant", probe]) == 2
+    assert run(["identify", str(V3_GALLERY), "--no-slant", probe]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "MetaMismatch" in captured.err
 
@@ -617,22 +619,13 @@ def test_a_shared_parser_answers_as_a_fresh_process(fresh_parser, tmp_path, data
         assert got == code
 
 
-def test_threads_share_the_parser_and_never_see_a_half_filled_subcommand(fresh_parser,
-                                                                          monkeypatch):
+def test_threads_share_the_parser(fresh_parser):
     lines = [["identify", "g", "p.pgm"],
              ["identify", "g", "--measure", "angle", "--no-slant", "q.pgm"],
              ["verify", "g", "a", "--threshold", "2", "p.pgm"],
              ["verify", "g", "b", "--threshold", "3", "--median-window", "5", "q.pgm"]]
     want = [build_parser().parse_args(argv) for argv in lines]
-    for name in ("_identify_args", "_verify_args"):
-        fill = getattr(cli, name)
-
-        def slowed(sp, fill=fill):
-            time.sleep(0.05)  # a thread switch inside the fill
-            fill(sp)
-
-        monkeypatch.setattr(cli, name, slowed)
-    shared = cli._parser()  # built, no subcommand filled yet
+    shared = cli._parser()
     barrier = threading.Barrier(len(lines))
     got = [None] * len(lines)
 
@@ -651,23 +644,6 @@ def test_threads_share_the_parser_and_never_see_a_half_filled_subcommand(fresh_p
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [(True, args) for args in want]
-
-
-def test_a_fill_that_raised_runs_again(fresh_parser, monkeypatch):
-    calls = []
-
-    def flaky(sp, fill=cli._synth_args):
-        calls.append(None)
-        if len(calls) == 1:
-            raise RuntimeError("interrupted")
-        fill(sp)
-
-    monkeypatch.setattr(cli, "_synth_args", flaky)
-    with pytest.raises(RuntimeError):
-        cli._parser().parse_args(["synth", "out"])
-    assert cli._parser().parse_args(["synth", "out", "--seed", "4"]) == \
-        build_parser().parse_args(["synth", "out", "--seed", "4"])
-    assert len(calls) == 3  # the failed fill, its retry, and the fresh parser's
 
 
 # --- concurrent and interrupted enrollment -------------------------------------------

@@ -9,6 +9,10 @@ The same holds for `PipelineConfig.meta`, which returns the config itself
 and is kept only for `bench/workloads.py`: no `sigfd` module reads a
 `.meta` attribute.
 
+No `sigfd` module reads a private (`_`-prefixed) attribute of a module it
+imports whole, such as `argparse._SubParsersAction`: those change between
+Python and numpy releases without notice.
+
 Importing the command line leaves `numpy.random` unloaded, so a fresh
 `sigfd` process pays for it only when it generates or evaluates.
 """
@@ -56,6 +60,28 @@ def test_no_module_reads_a_meta_attribute(path):
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "meta"]
     assert reads == []
+
+
+def _private_module_reads(tree: ast.Module) -> list[str]:
+    """`module._name` reads, for every module bound by `import X` or `import X as Y`."""
+    modules = {a.asname or a.name.split(".", 1)[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_") \
+                or node.attr.endswith("__"):
+            continue
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            reads.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return reads
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_private_attribute_of_an_imported_module(path):
+    assert _private_module_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_importing_the_cli_does_not_load_numpy_random():

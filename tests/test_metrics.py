@@ -18,8 +18,10 @@ ALL = [DistanceMeasure(name) for name in MEASURE_NAMES]
 def test_measure_validation():
     with pytest.raises(ValueError):
         DistanceMeasure("cosine")
-    with pytest.raises(ValueError):
-        DistanceMeasure("minkowski", p=0.0)
+    # at p = inf, 0 ** (1 / p) is 1, so identical rows would lie 1.0 apart
+    for p in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            DistanceMeasure("minkowski", p=p)
 
 
 def test_known_values():
