@@ -61,6 +61,12 @@ def test_identical_vectors():
             assert abs(d) < 1e-12
 
 
+@given(p=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       x=arrays(np.float64, 5, elements=st.floats(-1e6, 1e6)))
+def test_minkowski_puts_identical_rows_at_zero_for_every_accepted_order(p, x):
+    assert distance(DistanceMeasure("minkowski", p=p), x, x) == 0.0
+
+
 def test_lower_means_closer():
     rng = np.random.default_rng(31)
     x = rng.random(16) + 0.5

@@ -24,7 +24,7 @@ from sigfd.errors import (DegenerateDescriptor, DuplicateSample, EmptyGallery,
 from sigfd.imaging import GrayImage, PreprocessConfig
 from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance, pairwise_distances
 from sigfd.recognition import (SYNTH_CANVAS, EvalReport, Gallery, SynthSpec, Template,
-                               enroll, evaluate, generate_synthetic, identify,
+                               VerifyResult, enroll, evaluate, generate_synthetic, identify,
                                load_dataset, load_gallery, report_to_csv,
                                save_dataset, save_gallery, verify)
 from sigfd.wavelet import WaveletFamily
@@ -286,6 +286,17 @@ def test_verify_threshold_must_be_a_number(tiny_dataset, tiny_gallery):
         verify(tiny_gallery, "id002", probe, MANHATTAN, math.nan, CFG)
     assert verify(tiny_gallery, "id000", probe, MANHATTAN, math.inf, CFG).genuine
     assert not verify(tiny_gallery, "id000", probe, MANHATTAN, -math.inf, CFG).genuine
+
+
+@pytest.mark.parametrize("name", MEASURE_NAMES)
+def test_verify_distance_is_the_claimed_identitys_identify_distance(tiny_dataset, tiny_gallery,
+                                                                   name):
+    # verify reduces one identity's rows with pairwise_distances and identify
+    # reduces every identity's at once; the minima agree to the bit
+    measure = DistanceMeasure(name)
+    probe = tiny_dataset["id002"][2]
+    for claimed, d in identify(tiny_gallery, probe, measure, CFG).ranking:
+        assert verify(tiny_gallery, claimed, probe, measure, d, CFG) == VerifyResult(True, d)
 
 
 def test_verify_unknown_identity(tiny_dataset, tiny_gallery):
@@ -927,6 +938,7 @@ def test_truncated_v3_manifest_is_a_format_error(fuzz_v3):
     dict(names="ann\nb\u00f6\n".encode()), dict(names=b"\nann\nbo\n"),
     dict(names=b"ann\nbo"), dict(samples=b"s0\ns1\r\n"),
     dict(sizes=(4, 2, 7, 2, 6)), dict(sizes=(99, 2, 7, 2, 6)), dict(sizes=(10**30, 2, 7, 2, 6)),
+    dict(sizes=(2, 2, 7, 2, 6)), dict(sizes=(0, 2, 7, 2, 6)), dict(sizes=(-1, 2, 7, 2, 6)),
     dict(sizes=(3, 3, 7, 2, 6)), dict(sizes=(3, 2, 6, 2, 6)), dict(sizes=(3, 2, 7, 2, 7)),
     dict(sizes=(3, 2, 7, 2, -6)), dict(sizes=(3, 2, 7, 2)), dict(sizes=(3, 2, 7, 2, 6, 0)),
     dict(pad=bytes(5) + b"\1"), dict(pad=bytes(6 + 8)), dict(pad=b""),
@@ -941,6 +953,7 @@ def test_truncated_v3_manifest_is_a_format_error(fuzz_v3):
         "unsorted", "repeated", "unsorted samples", "unused name", "unused sample",
         "space in name", "leading dash", "latin-1 name", "utf-8 name", "empty name",
         "unterminated table", "CR in table", "count+1", "count>file", "count huge",
+        "count-1", "count=0", "count<0",
         "name count+1", "table bytes-1", "sample bytes+1", "negative size", "missing size",
         "extra size", "nonzero pad", "pad too long", "no pad", "even window", "bad target",
         "slant=2", "threshold=256", "threshold=x", "levels=0", "version 4", "non-ascii magic",
@@ -952,8 +965,9 @@ def test_malformed_v3_manifest_is_a_format_error(fuzz_v3, parts):
 
 
 @pytest.mark.parametrize("mangle", [lambda b: b + b"\0", lambda b: b[:-1],
-                                    lambda b: b + bytes(8), lambda b: b[:-8]],
-                         ids=["byte over", "byte short", "row over", "row short"])
+                                    lambda b: b + bytes(8), lambda b: b[:-8],
+                                    lambda b: b + b"\n"],
+                         ids=["byte over", "byte short", "row over", "row short", "newline over"])
 def test_v3_payload_one_off_is_a_format_error(fuzz_v3, mangle):
     root, good = fuzz_v3
     with pytest.raises(FormatError):
