@@ -43,38 +43,36 @@ class DistanceMeasure:
 # (probes x _BLOCK_ROWS x k) however large the gallery.
 _BLOCK_ROWS = 1024
 
-
-def _centred(rows: np.ndarray, out: np.ndarray) -> None:
-    # Centered two-pass sums; the one-pass sum(x*x) - sum(x)**2/n cancels
-    # to nothing for rows with a large mean and a small spread.
-    np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
-
-
-def _centred_square(rows: np.ndarray, out: np.ndarray) -> None:
-    _centred(rows, out)
-    np.square(out, out=out)
-
-
 # Measures divided by an outer product of per-row sums: the term summed
-# along each row, written into a scratch block, and what the error names
-# when a sum is zero.
+# along each row, and what the error names when a sum is zero.
 _SCALED = {
     "angle": (np.square, "angle distance"),
-    "correlation": (_centred_square, "correlation distance"),
+    "correlation": (np.square, "correlation distance"),
     "mod-manhattan": (np.abs, "modified Manhattan"),
     "mod-sse": (np.square, "modified SSE"),
 }
 
 
-def _row_sums(rows: np.ndarray, term) -> np.ndarray:
-    """sum(term(rows)) along each row, _BLOCK_ROWS rows at a time in one scratch block."""
-    out = np.empty(len(rows))
-    scratch = np.empty((min(_BLOCK_ROWS, len(rows)), rows.shape[1]))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        term(block, scratch[:len(block)])
-        np.add.reduce(scratch[:len(block)], axis=1, out=out[start:start + len(block)])
-    return out
+def _prepare(name: str, rows: np.ndarray, out: np.ndarray | None = None):
+    """`rows` as the scan reads them under `name`, and their sums for a scaled measure.
+
+    Correlation centres the rows into `out`, scratch of their shape (None
+    for a new array); the other scaled measures write their term there.
+    """
+    if name not in _SCALED:
+        return rows, None
+    term, what = _SCALED[name]
+    if name == "correlation":
+        if (np.ptp(rows, axis=1) == 0.0).any():
+            raise DegenerateInput("correlation distance undefined for a constant vector")
+        # Centered two-pass sums; the one-pass sum(x*x) - sum(x)**2/n cancels
+        # to nothing for rows with a large mean and a small spread.
+        rows = np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
+        out = None  # the centred rows hold `out`, so the term takes a temporary
+    sums = np.add.reduce(term(rows, out=out), axis=1)
+    if (sums == 0.0).any():
+        raise DegenerateInput(f"{what} undefined for a zero vector")
+    return rows, sums
 
 
 def distance(measure: DistanceMeasure, x, y) -> float:
@@ -89,37 +87,39 @@ def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:
     products summed along the row, no matrix product), so it does not
     depend on the other rows in the call: a 1x1 call gives the same bits.
     The gallery is scanned _BLOCK_ROWS rows at a time through one reused
-    (P, block, k) buffer, each block reduced straight into the result.
-    Raises DegenerateInput when any row makes the measure undefined.
+    (P, block, k) buffer, each block prepared and reduced straight into
+    the result.  Raises DegenerateInput when any row makes the measure
+    undefined, or when an overflow, a division by zero or an invalid
+    operation takes a distance out of the float range.
     """
     p = np.asarray(probes, dtype=np.float64)
     g = np.asarray(gallery, dtype=np.float64)
     if p.ndim != 2 or g.ndim != 2 or p.shape[1] != g.shape[1] or p.shape[1] == 0:
         raise LengthMismatch(
             f"operands must be 2-D with a shared nonzero width, got {p.shape} and {g.shape}")
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return _scan(measure, p, g)
+    except FloatingPointError as exc:
+        raise DegenerateInput(f"{measure.name} distance leaves the float range: {exc}") from None
+
+
+def _scan(measure: DistanceMeasure, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     name = measure.name
-    if name == "correlation":
-        if (np.ptp(p, axis=1) == 0.0).any() or (np.ptp(g, axis=1) == 0.0).any():
-            raise DegenerateInput("correlation distance undefined for a constant vector")
-    if name in _SCALED:
-        term, what = _SCALED[name]
-        sp, sg = _row_sums(p, term), _row_sums(g, term)
-        if (sp == 0.0).any() or (sg == 0.0).any():
-            raise DegenerateInput(f"{what} undefined for a zero vector")
-    if name == "correlation":
-        p = p - p.mean(axis=1, keepdims=True)
+    p, sp = _prepare(name, p)
     out = np.empty((len(p), len(g)))
     block = max(1, min(_BLOCK_ROWS, len(g)))
     # each probe row copied down a block, so the ufuncs below run over
     # contiguous memory instead of broadcasting one row
     tiles = np.repeat(p[:, None, :], block, axis=1)
-    work = np.empty_like(tiles)
+    # one probe's worth at least: a block is prepared in work[0] even with no probes
+    work = np.empty((max(len(p), 1),) + tiles.shape[1:])
     for start in range(0, len(g), block):
-        rows = g[start:start + block]
-        stop = start + len(rows)
-        w, t, d = work[:, :len(rows)], tiles[:, :len(rows)], out[:, start:stop]
+        n = min(block, len(g) - start)
+        w, t, d = work[:len(p), :n], tiles[:, :n], out[:, start:start + n]
+        rows, sg = _prepare(name, g[start:start + n], work[0, :n])
         if name == "correlation":
-            _centred(rows, w)
+            w[1:] = rows  # every probe's copy of the centred block
             np.multiply(t, w, out=w)
         elif name == "angle":
             np.multiply(t, rows, out=w)
@@ -142,9 +142,9 @@ def pairwise_distances(measure: DistanceMeasure, probes, gallery) -> np.ndarray:
         elif name == "euclidean":
             np.sqrt(d, out=d)
         elif name in ("angle", "correlation"):
-            d /= np.sqrt(np.outer(sp, sg[start:stop]))
+            d /= np.sqrt(np.outer(sp, sg))
         elif name in _SCALED:
-            d /= np.outer(sp, sg[start:stop])
+            d /= np.outer(sp, sg)
     if name in ("angle", "correlation"):
         np.clip(out, -1.0, 1.0, out=out)
         np.negative(out, out=out)

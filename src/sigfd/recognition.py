@@ -611,32 +611,30 @@ def load_gallery(root) -> Gallery:
     if version != _GAL_VERSION or len(fields) != 15:
         raise FormatError(f"{manifest}: bad gallery header {header[:80]!r}")
     try:
-        return _load_v3(_header_config(*fields[2:10]), fields[10:], data, body)
+        config = _header_config(*fields[2:10])
+        if not all(size.isdigit() for size in fields[10:]):
+            raise ValueError(f"bad sizes in {' '.join(fields[10:])!r}")
+        count, n_names, name_bytes, n_samples, sample_bytes = map(int, fields[10:])
+        samples_at = body + name_bytes
+        tables_end = samples_at + sample_bytes
+        codes_at = tables_end + -tables_end % 8
+        payload_at = codes_at + 8 * count
+        size = payload_at + 8 * count * config.k
+        if len(data) != size:
+            raise ValueError(f"{count} templates of {config.k} magnitudes with these tables "
+                             f"need {size} bytes, got {len(data)}")
+        if any(data[tables_end:codes_at]):
+            raise ValueError("the padding before the codes must be zero bytes")
+        names = _read_table(data[body:samples_at], n_names, "identity")
+        sample_names = _read_table(data[samples_at:tables_end], n_samples, "sample_id")
+        columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at)
+        sample_columns = np.frombuffer(data, dtype="<i4", count=count,
+                                       offset=codes_at + 4 * count)
+        mags = np.frombuffer(data, dtype="<f8", count=count * config.k, offset=payload_at)
+        return Gallery._from_tables(config, names, columns, sample_names, sample_columns,
+                                    mags.reshape(count, config.k))
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
-
-
-def _load_v3(config: PipelineConfig, sizes: list[str], data: bytes, at: int) -> Gallery:
-    """The v3 layout past its configuration fields; `at` is where the tables start."""
-    if not all(size.isdigit() for size in sizes):
-        raise ValueError(f"bad sizes in {' '.join(sizes)!r}")
-    count, n_names, name_bytes, n_samples, sample_bytes = map(int, sizes)
-    codes_at = at + name_bytes + sample_bytes
-    codes_at += -codes_at % 8
-    payload_at = codes_at + 8 * count
-    if len(data) != payload_at + 8 * count * config.k:
-        raise ValueError(f"{count} templates of {config.k} magnitudes with these tables need "
-                         f"{payload_at + 8 * count * config.k} bytes, got {len(data)}")
-    if any(data[at + name_bytes + sample_bytes:codes_at]):
-        raise ValueError("the padding before the codes must be zero bytes")
-    names = _read_table(data[at:at + name_bytes], n_names, "identity")
-    sample_names = _read_table(data[at + name_bytes:at + name_bytes + sample_bytes],
-                               n_samples, "sample_id")
-    columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at)
-    sample_columns = np.frombuffer(data, dtype="<i4", count=count, offset=codes_at + 4 * count)
-    mags = np.frombuffer(data, dtype="<f8", count=count * config.k, offset=payload_at)
-    return Gallery._from_tables(config, names, columns, sample_names, sample_columns,
-                                mags.reshape(count, config.k))
 
 
 def _read_table(raw: bytes, n: int, what: str) -> tuple[str, ...]:

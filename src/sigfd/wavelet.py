@@ -236,7 +236,11 @@ def dwt2_multi(img: GrayImage, family: WaveletFamily, levels: int) -> WaveletDec
 # on a 2-core x86-64 VM (best of 21), 1 MiB was the fastest budget for db8,
 # sym8 and db15 (db15 2.8 ms, against 3.9 at 512 KiB, 3.0 at 4 MiB and 8.6
 # for the whole identity) and tied for haar and db2: smaller blocks pay
-# numpy's per-call cost more often, larger ones leave the cache.
+# numpy's per-call cost more often, larger ones leave the cache.  Freeing a
+# gather this large also raises glibc's dynamic mmap and trim thresholds for
+# the rest of the process, and the warm workloads depend on that: a build
+# whose largest block was 0.45 MiB took a later median filter from 139 to
+# 388 us per image, with about 218 minor page faults per warm `identify`.
 _OP_GATHER_BYTES = 1 << 20
 
 

@@ -166,6 +166,8 @@ def test_usage_errors_exit_one(tmp_path, dataset_dir, gallery_dir):
                 "128", probe]) == 1
     assert run(["evaluate", str(dataset_dir), "--train-k", "0"]) == 1
     assert run(["evaluate", str(dataset_dir), "--families", "db3"]) == 1
+    assert run(["evaluate", str(dataset_dir), "--measures", ","]) == 1
+    assert run(["evaluate", str(dataset_dir), "--families", " , "]) == 1
     assert run(["synth", str(tmp_path / "s"), "--noise", "0.9"]) == 1
 
 
@@ -186,6 +188,43 @@ def test_data_errors_exit_two(tmp_path, dataset_dir, gallery_dir):
                 "--levels", "9", probe]) == 2
     # train_k does not leave a probe per identity
     assert run(["evaluate", str(dataset_dir), "--train-k", "4"]) == 2
+
+
+def test_unwritable_outputs_are_data_errors(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "missing" / "dir" / "x.csv"
+    assert run(["evaluate", str(dataset_dir), "--measures", "manhattan", "--families", "haar",
+                "--train-k", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the OSError of the CSV write, past the split line
+    assert captured.err.splitlines()[-1].startswith("sigfd: error: ")
+    assert str(out) in captured.err and not out.parent.exists()
+    below_a_file = tmp_path / "file" / "data"
+    below_a_file.parent.write_bytes(b"")
+    assert run(["synth", str(below_a_file), "--identities", "1", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("sigfd: error: IoError: ")
+
+
+def test_a_distance_out_of_the_float_range_is_a_data_error(tmp_path, dataset_dir, gallery_dir,
+                                                            capsys):
+    data = bytearray((gallery_dir / "MANIFEST.siggal").read_bytes())
+    k = load_gallery(gallery_dir).config.k
+    # the last template scaled by 1e200: still finite, so the gallery loads
+    np.frombuffer(data, dtype="<f8", offset=len(data) - 8 * k)[:] *= 1e200
+    gal = tmp_path / "huge"
+    gal.mkdir()
+    (gal / "MANIFEST.siggal").write_bytes(data)
+    assert load_gallery(gal).magnitudes.max() > 1e190
+    probe = str(dataset_dir / "id000" / "s002.pgm")
+    capsys.readouterr()
+    for measure in ("angle", "euclidean", "mod-sse", "correlation"):
+        assert run(["identify", str(gal), "--measure", measure, probe]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sigfd: error: DegenerateInput: {measure} distance ")
+    # manhattan stays in range
+    assert run(["identify", str(gal), probe]) == 0
 
 
 def test_evaluate_with_a_blank_sample_is_a_data_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -109,6 +110,17 @@ def test_degenerate_inputs():
         distance(DistanceMeasure("mod-manhattan"), x, zero)
     with pytest.raises(DegenerateInput):
         distance(DistanceMeasure("mod-sse"), zero, zero)
+    # a distance out of the float range: an SSE over a subnormal sum of
+    # squares, sums whose product overflows (it used to put distinct rows
+    # 0.0 apart), a sum of squares that overflows
+    with pytest.raises(DegenerateInput, match="mod-sse"):
+        distance(DistanceMeasure("mod-sse"), [0.5, 1.0, 0.25, 0.1], [0.0, 2.2e-162, 0.0, 0.0])
+    with pytest.raises(DegenerateInput, match="mod-manhattan"):
+        distance(DistanceMeasure("mod-manhattan"), [1e300, 2e300, 0.0], [2e300, 1e300, 0.0])
+    with pytest.raises(DegenerateInput, match="angle"):
+        distance(DistanceMeasure("angle"), x, 1e200 * x)
+    # an underflow alone is no error
+    assert distance(DistanceMeasure("manhattan"), [1e-320, 0.0], [0.0, 0.0]) == 1e-320
 
 
 def test_length_mismatch():
@@ -137,9 +149,8 @@ def test_pairwise_matches_scalar_loop():
 
 
 @st.composite
-def _stacks(draw, max_probes=4, max_gallery=5):
+def _stacks(draw, max_probes=4, max_gallery=5, values=st.floats(0.01, 100.0)):
     n = draw(st.integers(1, 12))
-    values = st.floats(0.01, 100.0)
     probes = draw(arrays(np.float64, (draw(st.integers(1, max_probes)), n), elements=values))
     gallery = draw(arrays(np.float64, (draw(st.integers(1, max_gallery)), n), elements=values))
     return probes, gallery
@@ -172,6 +183,18 @@ def test_pairwise_entries_do_not_depend_on_other_rows(stacks, m):
             assert mat[i, j] == distance(m, probes[i], gallery[j])
 
 
+# every magnitude a gallery or a descriptor accepts, subnormals included
+@given(stacks=_stacks(values=st.floats(0.0, 1e300)), m=_MEASURES)
+def test_accepted_magnitudes_give_a_finite_distance_or_degenerate_input(stacks, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mat = pairwise_distances(m, *stacks)
+        except DegenerateInput:
+            return
+    assert np.isfinite(mat).all()
+
+
 def test_minkowski_high_order_does_not_overflow():
     m = DistanceMeasure("minkowski", p=400.0)
     assert distance(m, [0.0, 10.0], [0.0, 0.0]) == 10.0
@@ -189,6 +212,16 @@ def test_pairwise_validates_shapes_and_degeneracy():
     probes = np.vstack([np.zeros(3), np.ones(3)])
     with pytest.raises(DegenerateInput):
         pairwise_distances(DistanceMeasure("angle"), probes, np.ones((2, 3)))
+    # no probes or no gallery rows give an empty matrix, yet a zero row on
+    # the other side is still checked
+    rows = np.ones((2, 3)) + np.eye(2, 3)
+    for m in ALL:
+        assert pairwise_distances(m, np.empty((0, 3)), rows).shape == (0, 2)
+        assert pairwise_distances(m, rows, np.empty((0, 3))).shape == (2, 0)
+    zero, empty = np.zeros((1, 3)), np.empty((0, 3))
+    for pair in ((zero, empty), (empty, zero)):
+        with pytest.raises(DegenerateInput):
+            pairwise_distances(DistanceMeasure("angle"), *pair)
 
 
 def _broadcast_reference(measure, p, g):

@@ -1,8 +1,10 @@
-"""The README's Library example runs as written."""
+"""The README's Library and Command line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from sigfd.cli import run
 from sigfd.imaging import save_image
 from sigfd.recognition import SynthSpec, generate_synthetic
 
@@ -18,3 +20,28 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "('alice', 'bob')"
+
+
+def test_readme_command_line_example_prints_its_comments(tmp_path, monkeypatch, capsys):
+    # each `sigfd ...` line of the shell blocks, with the `# ...` lines under it
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.splitlines():
+            if line.startswith("sigfd "):
+                commands.append((shlex.split(line)[1:], []))
+            elif line.startswith("# ") and commands:
+                commands[-1][1].append(line[2:])
+    monkeypatch.chdir(tmp_path)
+    shown = []
+    for argv, comments in commands:
+        capsys.readouterr()
+        assert run(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        for comment in comments:
+            if comment.endswith("(stderr)") or comment == "...":
+                continue
+            line = re.sub(r"\s+\(.*\)$", "", comment)  # "(stdout, CSV)" annotates the line
+            assert line in out, (argv, line, out)
+            shown.append(line)
+    # synth, three enrolls, identify, verify and evaluate; two lines of the CSV
+    assert (len(commands), len(shown)) == (7, 4)

@@ -537,6 +537,12 @@ def test_evaluate_insufficient_samples(tiny_dataset):
         evaluate({}, [MANHATTAN], [WaveletFamily.HAAR], train_k=1, seed=0)
 
 
+def test_evaluate_needs_a_measure_and_a_family(tiny_dataset):
+    for measures, families in (([], [WaveletFamily.HAAR]), ([MANHATTAN], [])):
+        with pytest.raises(ValueError, match="at least one measure and one family"):
+            evaluate(tiny_dataset, measures, families, train_k=2)
+
+
 def test_evaluate_same_seed_same_rates(tiny_dataset):
     args = (tiny_dataset, [MANHATTAN], [WaveletFamily.HAAR])
     a = evaluate(*args, train_k=2, seed=7)
