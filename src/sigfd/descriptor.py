@@ -1,12 +1,15 @@
 """Similarity-invariant Fourier features over wavelet approximation planes.
 
-The coarsest approximation plane, computed by `wavelet.approximation`
-without the detail planes, is scanned row-major into a 1-D sequence,
-transformed with numpy's FFT, and normalized so that the
+The coarsest approximation plane is scanned row-major into a 1-D
+sequence, transformed with numpy's FFT, and normalized so that the
 retained magnitudes ignore where the scan started, any global intensity
 gain, and any constant offset: a circular shift only rotates phases, a
 gain cancels in the a[n]/a[1] ratio, and an offset lives entirely in
-a[0], which is dropped.
+a[0], which is dropped.  The pixels' plane is a constant paper plane
+less the plane of the ink, `BACKGROUND - pixels`, so those last two give
+both planes the same magnitudes.  `describe_each` reads the ink plane,
+which only the ink's bounding box feeds: it finds the box once per image
+and shares it across the families.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ from .imaging import GrayImage, PreprocessConfig, preprocess
 # `dwt2_multi` is not called here, but bench/spans.py traces calls by
 # patching this module's globals, so every name it looks up on this module
 # has to stay importable.
-from .wavelet import WaveletFamily, _approximate_plane, _check_levels, dwt2_multi
+from .wavelet import WaveletFamily, _check_levels, _ink_box, _ink_plane, dwt2_multi
 
 NORMALIZER_EPS = 1e-12
 
@@ -126,8 +129,8 @@ def normalize_descriptor(spectrum: np.ndarray, k: int) -> np.ndarray:
 
 def describe_each(pre: GrayImage, configs) -> list[np.ndarray]:
     """The magnitudes of a preprocessed image under each config, one row per config."""
-    plane = pre.pixels.astype(np.float64)
-    return [normalize_descriptor(dft(_approximate_plane(plane, c.family, c.levels).ravel()), c.k)
+    box = _ink_box(pre)
+    return [normalize_descriptor(dft(_ink_plane(box, c.family, c.levels).ravel()), c.k)
             for c in configs]
 
 

@@ -35,8 +35,10 @@ class DistanceMeasure:
         if self.name not in MEASURE_NAMES:
             known = ", ".join(MEASURE_NAMES)
             raise ValueError(f"unknown measure {self.name!r}, expected one of: {known}")
-        if not 0 < self.p < np.inf:
-            raise ValueError(f"minkowski order must be positive and finite, got {self.p!r}")
+        # the distance is raised to 1/p, which is inf for p below about 5.6e-309
+        if not (0 < self.p < np.inf and 1.0 / float(self.p) < np.inf):
+            raise ValueError(f"minkowski order must be positive, with p and 1/p finite, "
+                             f"got {self.p!r}")
 
 
 # Gallery rows are scanned this many at a time, so the working set stays

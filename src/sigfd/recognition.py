@@ -17,7 +17,6 @@ import math
 import operator
 import os
 import re
-import secrets
 from pathlib import Path
 
 import numpy as np
@@ -316,8 +315,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_identities < 1 or self.samples_per_identity < 1:
             raise ValueError("need at least one identity and one sample each")
-        if not (0 <= self.rotation_deg < math.inf and 0 <= self.translation_px < math.inf):
-            raise ValueError("rotation and translation ranges must be finite and nonnegative")
+        # each is drawn uniformly over [-x, x], and numpy needs the width 2x finite
+        if not all(0 <= 2 * x < math.inf for x in (self.rotation_deg, self.translation_px)):
+            raise ValueError("rotation and translation ranges x must be nonnegative, "
+                             "with [-x, x] of finite width")
         lo, hi = self.scale_range
         if not 0 < lo <= hi < math.inf:
             raise ValueError(f"scale range must be 0 < lo <= hi < inf, got {self.scale_range!r}")
@@ -561,7 +562,7 @@ def save_gallery(gallery: Gallery, root) -> None:
     root = Path(root)
     manifest = root / MANIFEST_NAME
     # a random name rather than mkstemp's, whose 0600 mode the manifest would keep
-    tmp = root / f"{MANIFEST_NAME}.{secrets.token_hex(8)}.tmp"
+    tmp = root / f"{MANIFEST_NAME}.{os.urandom(8).hex()}.tmp"
     try:
         root.mkdir(parents=True, exist_ok=True)
         try:

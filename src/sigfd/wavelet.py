@@ -11,10 +11,15 @@ detail plane is low-pass in x and high-pass in y (horizontal strokes),
 `v` is the transpose, and `d` is high-pass in both.
 
 The descriptor reads only the coarsest approximation plane, and
-periodized lowpass-and-decimate is linear and separable, so
-`approximation` applies `levels` passes as one cached matrix per axis
-extent.  `dwt2_multi` builds every detail plane as well; it serves
-subband dumps and is the oracle the operator is tested against.
+periodized lowpass-and-decimate is linear and separable, so `levels`
+passes are one cached matrix per axis extent, M_h @ X @ M_w.T.  The
+pixels X are `BACKGROUND` less the ink D, which is zero outside the
+ink's bounding box, and every row of M sums to sqrt(2)**levels, so the
+plane is a constant paper plane less M_h @ D @ M_w.T, for which
+`_ink_plane` needs only the operators' columns over the box.  The
+descriptor reads that ink plane alone; `approximation` puts the paper
+back.  `dwt2_multi` builds every detail plane as well; it serves subband
+dumps and is the oracle the operators are tested against.
 
 Filter taps are float64 evaluations of exact spectral factorizations of
 the maximally flat half-band polynomial: minimum phase for the dbN
@@ -30,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadLevels, MalformedDecomposition, OddDimension
-from .imaging import GrayImage
+from .imaging import BACKGROUND, GrayImage
 
 
 class WaveletFamily(Enum):
@@ -259,8 +264,9 @@ def _lowpass_operator(family: WaveletFamily, levels: int, n: int) -> np.ndarray:
     loop, as for the whole identity, while a one-column gather is
     contiguous and goes to BLAS, which sums in another order.  n is even,
     so even-width blocks leave no block of one.  The matrix is
-    column-major, as `_analyze` of the whole identity leaves it: the BLAS
-    products in `_approximate_plane` sum in an order that depends on the layout.
+    column-major, as `_analyze` of the whole identity leaves it: `_ink_plane`
+    multiplies column slices of it, and BLAS sums in an order that depends
+    on the layout.
     """
     taps = analysis_filters(family).lowpass
     cols = max(2, _OP_GATHER_BYTES // (8 * (n // 2) * taps.size)) & ~1
@@ -274,19 +280,45 @@ def _lowpass_operator(family: WaveletFamily, levels: int, n: int) -> np.ndarray:
     return op
 
 
-def _approximate_plane(plane: np.ndarray, family: WaveletFamily, levels: int) -> np.ndarray:
-    h, w = plane.shape
+def _ink_box(img: GrayImage):
+    """The frame's shape, the row and column slices that bound its ink, and the ink there.
+
+    Ink is every pixel that is not `BACKGROUND`, and the box holds it as
+    `BACKGROUND - pixels` in float64, which is exact for 8-bit values.  A
+    blank frame has empty slices and an empty box.
+    """
+    px = img.pixels
+    ink = px != BACKGROUND
+    rows, cols = (np.flatnonzero(ink.any(axis=axis)) for axis in (1, 0))
+    rows, cols = (slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in (rows, cols))
+    return px.shape, rows, cols, BACKGROUND - px[rows, cols].astype(np.float64)
+
+
+def _ink_plane(box, family: WaveletFamily, levels: int) -> np.ndarray:
+    """Coarsest approximation plane of `BACKGROUND - pixels`, from an `_ink_box`.
+
+    Outside the box that difference is zero, so only the operators'
+    columns over the box take part: `M_h[:, rows] @ D @ M_w[:, cols].T`.
+    """
+    (h, w), rows, cols, ink = box
     _check_levels(levels, w, h)
-    rows = _lowpass_operator(family, levels, h) @ plane
-    return rows @ _lowpass_operator(family, levels, w).T
+    rows_op = _lowpass_operator(family, levels, h)[:, rows]
+    return rows_op @ ink @ _lowpass_operator(family, levels, w)[:, cols].T
 
 
 def approximation(img: GrayImage, family: WaveletFamily, levels: int) -> np.ndarray:
     """Coarsest approximation plane of `dwt2_multi`, without the details.
 
-    Equal to `dwt2_multi(img, family, levels).approx` up to rounding.
+    The pixels are `BACKGROUND` less the ink, so the plane is the paper's
+    plane, the outer product of the operators' row sums times `BACKGROUND`,
+    less `_ink_plane`.  Equal to `dwt2_multi(img, family, levels).approx` up
+    to rounding.
     """
-    return _approximate_plane(img.pixels.astype(np.float64), family, levels)
+    ink = _ink_plane(_ink_box(img), family, levels)
+    h, w = img.pixels.shape
+    paper = np.outer(_lowpass_operator(family, levels, h).sum(axis=1),
+                     _lowpass_operator(family, levels, w).sum(axis=1))
+    return BACKGROUND * paper - ink
 
 
 def idwt2(dec: WaveletDecomposition) -> np.ndarray:

@@ -382,6 +382,32 @@ def test_non_finite_float_flags_end_in_an_exit_code(tmp_path, dataset_dir, galle
     assert not (tmp_path / "syn").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(_SYNTH + ["--rotation", "1e308"], id="rotation"),
+    pytest.param(_SYNTH + ["--translation", "1e308"], id="translation"),
+    pytest.param(["identify", "{gal}", "--measure", "minkowski", "--minkowski-p", "1e-310",
+                  "{probe}"], id="minkowski-p"),
+])
+def test_finite_flags_out_of_range_are_usage_errors(tmp_path, dataset_dir, gallery_dir, capsys,
+                                                    argv):
+    # synth draws over [-x, x], which overflows at 2x = inf, and a Minkowski
+    # distance is raised to 1/p, which is inf below about 5.6e-309
+    fill = {"gal": str(gallery_dir), "probe": str(dataset_dir / "id001" / "s003.pgm"),
+            "out": str(tmp_path / "syn")}
+    assert run([arg.format(**fill) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("sigfd: error: ")
+    assert not (tmp_path / "syn").exists()
+
+
+def test_synth_accepts_ranges_up_to_half_the_largest_float(tmp_path, capsys):
+    half = repr(sys.float_info.max / 2)
+    for flag in ("--rotation", "--translation"):
+        out = tmp_path / flag.strip("-")
+        assert run(_SYNTH[:1] + [str(out)] + _SYNTH[2:] + [flag, half]) == 0
+        assert capsys.readouterr().out == f"wrote 1 images to {out}\n"
+
+
 def test_corrupt_template_is_a_data_error(tmp_path, dataset_dir, gallery_dir, capsys):
     probe = str(dataset_dir / "id000" / "s002.pgm")
     good = (gallery_dir / "MANIFEST.siggal").read_bytes()
@@ -566,6 +592,15 @@ def test_a_committed_gallery_file_reads_and_answers_as_before(tmp_path, readme_d
     assert run(["identify", str(V3_GALLERY), "--no-slant", probe]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "MetaMismatch" in captured.err
+
+
+def test_the_committed_gallery_templates_re_extract_from_their_scans(readme_dataset):
+    # galleries enrolled before the ink-box products still serve new probes:
+    # today's extraction of each template's scan is the stored row up to rounding
+    g = load_gallery(V3_GALLERY)
+    for row, identity, sample in zip(g.magnitudes, g.identities, g.sample_ids):
+        mags = extract_features(load_image(readme_dataset / identity / f"{sample}.pgm")).magnitudes
+        assert np.all(np.abs(mags - row) <= 1e-12 * row)
 
 
 def test_enroll_checks_names_and_duplicates_before_extracting(tmp_path, dataset_dir,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigfd.descriptor import (NORMALIZER_EPS, FourierDescriptor, PipelineConfig,
@@ -142,8 +142,83 @@ def test_describe_each_rows_are_extract_features_magnitudes():
 
 def test_extract_features_blank_page_is_degenerate():
     img = GrayImage(np.full((256, 256), 255, dtype=np.uint8))
-    with pytest.raises(DegenerateDescriptor):
+    # a blank page has no ink, so its ink plane, and its a[1], is exactly zero
+    with pytest.raises(DegenerateDescriptor, match=r"^\|a\[1\]\| = 0\.000e\+00 is below"):
         extract_features(img)
+
+
+def _describe_through_dwt2_multi(px, family, levels, k):
+    """The descriptor of the full decomposition's approximation plane, and its |a[1]|."""
+    spectrum = dft(dwt2_multi(GrayImage(px), family, levels).approx.ravel())
+    return normalize_descriptor(spectrum, k), abs(spectrum[1])
+
+
+def _assert_ink_box_path_matches_dwt2_multi(px, family, levels):
+    h, w = px.shape
+    k = (h >> levels) * (w >> levels) - 2
+    config = PipelineConfig(family, levels, k, PreprocessConfig(target_size=(w, h)))
+    try:
+        want, a1 = _describe_through_dwt2_multi(px, family, levels, k)
+    except DegenerateDescriptor:
+        with pytest.raises(DegenerateDescriptor):
+            describe_each(GrayImage(px), [config])
+        return
+    (got,) = describe_each(GrayImage(px), [config])
+    # Either plane's entries are at most 255 * 2**levels, and each spectrum
+    # entry is off by a few ulps of that; the ratio to a[1] carries it as
+    # (1 + |a[n] / a[1]|) / |a[1]|.
+    scale = 255.0 * 2 ** levels / a1
+    assert np.all(np.abs(got - want) <= 1e-12 * scale * (1 + want))
+
+
+def _frame(h, w, paper=255, rows=slice(0, 0), cols=slice(0, 0), seed=0):
+    """A frame of `paper` with random pixels (255 among them) over rows x cols."""
+    px = np.full((h, w), paper, dtype=np.uint8)
+    box = px[rows, cols]
+    box[...] = np.random.default_rng(seed).integers(0, 256, size=box.shape)
+    return px
+
+
+_S, _E = slice(0, 3), slice(-3, None)  # the first and last three rows or columns
+_INK_BOX_FRAMES = {
+    "blank": _frame(16, 32),
+    "blank-254": _frame(16, 32, paper=254),
+    "ink-on-254": _frame(16, 32, paper=254, rows=slice(5, 9), cols=slice(3, 20)),
+    "random": _frame(16, 32, rows=slice(None), cols=slice(None)),
+    "one-row": _frame(16, 32, rows=slice(7, 8), cols=slice(2, 30)),
+    "one-column": _frame(16, 32, rows=slice(1, 15), cols=slice(9, 10)),
+    "one-pixel": _frame(16, 32, rows=slice(6, 7), cols=slice(11, 12)),
+    "top-edge": _frame(16, 32, rows=_S, cols=slice(8, 20)),
+    "bottom-edge": _frame(16, 32, rows=_E, cols=slice(8, 20)),
+    "left-edge": _frame(16, 32, rows=slice(5, 11), cols=_S),
+    "right-edge": _frame(16, 32, rows=slice(5, 11), cols=_E),
+    "top-left": _frame(16, 32, rows=_S, cols=_S),
+    "top-right": _frame(16, 32, rows=_S, cols=_E),
+    "bottom-left": _frame(16, 32, rows=_E, cols=_S),
+    "bottom-right": _frame(16, 32, rows=_E, cols=_E),
+}
+
+
+@pytest.mark.parametrize("name", list(_INK_BOX_FRAMES))
+def test_ink_box_descriptor_matches_the_full_decomposition_on_edge_frames(name):
+    for family in WaveletFamily:
+        for levels in (1, 2, 3):
+            _assert_ink_box_path_matches_dwt2_multi(_INK_BOX_FRAMES[name], family, levels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(list(WaveletFamily)), levels=st.integers(1, 3),
+       shape=st.tuples(st.sampled_from([8, 16, 32]), st.sampled_from([8, 16, 32])),
+       paper=st.sampled_from([255, 254]),
+       rows=st.tuples(st.integers(0, 32), st.integers(0, 32)),
+       cols=st.tuples(st.integers(0, 32), st.integers(0, 32)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ink_box_descriptor_matches_the_full_decomposition(family, levels, shape, paper, rows,
+                                                           cols, seed):
+    h, w = shape
+    assume((h >> levels) * (w >> levels) >= 4)
+    px = _frame(h, w, paper, slice(*sorted(rows)), slice(*sorted(cols)), seed)
+    _assert_ink_box_path_matches_dwt2_multi(px, family, levels)
 
 
 def test_extract_features_contrast_invariance():

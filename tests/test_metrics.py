@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,15 +14,20 @@ from sigfd.metrics import (MEASURE_NAMES, DistanceMeasure, distance,
                            pairwise_distances)
 
 ALL = [DistanceMeasure(name) for name in MEASURE_NAMES]
+# The smallest Minkowski order whose 1 / p is finite, a subnormal
+SMALLEST_ORDER = float(np.nextafter(1 / np.finfo(np.float64).max, 1.0))
 
 
 def test_measure_validation():
     with pytest.raises(ValueError):
         DistanceMeasure("cosine")
-    # at p = inf, 0 ** (1 / p) is 1, so identical rows would lie 1.0 apart
-    for p in (0.0, np.inf):
+    # at p = inf, 0 ** (1 / p) is 1, so identical rows would lie 1.0 apart;
+    # below SMALLEST_ORDER, 1 / p is inf and d ** inf is inf without a float error
+    for p in (0.0, np.inf, 1e-310, 5e-324, np.nextafter(SMALLEST_ORDER, 0.0)):
         with pytest.raises(ValueError):
             DistanceMeasure("minkowski", p=p)
+    DistanceMeasure("minkowski", p=SMALLEST_ORDER)
+
 
 
 def test_known_values():
@@ -62,8 +67,9 @@ def test_identical_vectors():
             assert abs(d) < 1e-12
 
 
-@given(p=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+@given(p=st.floats(min_value=SMALLEST_ORDER, allow_infinity=False, allow_subnormal=True),
        x=arrays(np.float64, 5, elements=st.floats(-1e6, 1e6)))
+@example(p=SMALLEST_ORDER, x=np.arange(5.0))
 def test_minkowski_puts_identical_rows_at_zero_for_every_accepted_order(p, x):
     assert distance(DistanceMeasure("minkowski", p=p), x, x) == 0.0
 
@@ -119,6 +125,10 @@ def test_degenerate_inputs():
         distance(DistanceMeasure("mod-manhattan"), [1e300, 2e300, 0.0], [2e300, 1e300, 0.0])
     with pytest.raises(DegenerateInput, match="angle"):
         distance(DistanceMeasure("angle"), x, 1e200 * x)
+    # and a tiny accepted Minkowski order, whose 1 / p takes 2 ** (1 / p) past it
+    for p in (1e-300, SMALLEST_ORDER):
+        with pytest.raises(DegenerateInput, match="minkowski"):
+            distance(DistanceMeasure("minkowski", p=p), [0.0, 1.0], [1.0, 0.0])
     # an underflow alone is no error
     assert distance(DistanceMeasure("manhattan"), [1e-320, 0.0], [0.0, 0.0]) == 1e-320
 

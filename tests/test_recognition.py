@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import stat
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -491,9 +492,12 @@ def test_synth_spec_validation():
         SynthSpec(noise_fraction=0.5)
     with pytest.raises(ValueError):
         SynthSpec(rotation_deg=-1.0)
-    # non-finite ranges used to overflow inside numpy's uniform draw
+    # non-finite ranges used to overflow inside numpy's uniform draw, and so
+    # did a finite x whose range [-x, x] is wider than the largest float
     for bad in ({"rotation_deg": math.nan}, {"rotation_deg": math.inf},
                 {"translation_px": math.nan}, {"translation_px": math.inf},
+                {"rotation_deg": 1e308}, {"translation_px": 1e308},
+                {"rotation_deg": math.nextafter(sys.float_info.max / 2, math.inf)},
                 {"scale_range": (0.9, math.inf)}, {"scale_range": (math.nan, 1.1)},
                 {"scale_range": (0.9, math.nan)}, {"scale_range": (math.inf, math.inf)},
                 {"noise_fraction": math.nan}):

@@ -156,6 +156,29 @@ def test_approximation_operator_matches_dwt2_multi(family, levels, h_units, w_un
     assert np.abs(got - approx).max() <= 1e-12 * np.abs(approx).max()
 
 
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(list(WaveletFamily)), levels=st.integers(1, 3),
+       h_units=st.integers(1, 8), w_units=st.integers(1, 8),
+       rows=st.tuples(st.integers(0, 64), st.integers(0, 64)),
+       cols=st.tuples(st.integers(0, 64), st.integers(0, 64)),
+       seed=st.integers(0, 2**32 - 1))
+@example(family=WaveletFamily.DB15, levels=3, h_units=2, w_units=2, rows=(0, 0), cols=(0, 0),
+         seed=0)  # blank
+@example(family=WaveletFamily.SYM8, levels=2, h_units=4, w_units=4, rows=(15, 16), cols=(0, 16),
+         seed=1)  # one row of ink along the bottom edge
+def test_approximation_of_ink_on_paper_matches_dwt2_multi(family, levels, h_units, w_units,
+                                                         rows, cols, seed):
+    # `approximation` is the paper's constant plane less the ink box's plane
+    h, w = h_units << levels, w_units << levels
+    px = np.full((h, w), 255, dtype=np.uint8)
+    box = px[slice(*sorted(rows)), slice(*sorted(cols))]
+    box[...] = np.random.default_rng(seed).integers(0, 256, size=box.shape)
+    approx = dwt2_multi(GrayImage(px), family, levels).approx
+    got = approximation(GrayImage(px), family, levels)
+    assert got.shape == approx.shape
+    assert np.abs(got - approx).max() <= 1e-12 * np.abs(approx).max()
+
+
 def _unblocked_operator(family, levels, n):
     """`_lowpass_operator` with the whole identity passed through at once."""
     op = np.eye(n)
