@@ -24,7 +24,7 @@ from .errors import SigfdError
 from .imaging import (_check_threshold, _check_window, _power_of_two, load_image, preprocess,
                       save_image)
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
-from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, enroll, evaluate,
+from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, _check_seed, enroll, evaluate,
                           generate_synthetic, identify, load_dataset,
                           load_gallery, report_to_csv, save_dataset,
                           save_gallery, verify)
@@ -68,6 +68,10 @@ def _positive_int(text: str) -> int:
 
 def _byte_int(text: str) -> int:
     return _vetted(int(text), _check_threshold)
+
+
+def _seed_int(text: str) -> int:
+    return _vetted(int(text), _check_seed)
 
 
 def _measure_name(text: str) -> str:
@@ -198,11 +202,10 @@ def _dump_subbands(img, config: PipelineConfig, out_dir: Path) -> None:
 def _cmd_identify(args) -> int:
     measure = measure_from_args(args)
     gallery = load_gallery(args.gallery)
-    config = pipeline_from_args(args, gallery.config)
     img = load_image(args.image)
-    result = identify(gallery, img, measure, config)
+    result = identify(gallery, img, measure, gallery.config)
     if args.dump_subbands:
-        _dump_subbands(img, config, Path(args.dump_subbands))
+        _dump_subbands(img, gallery.config, Path(args.dump_subbands))
     print(f"{result.identity} {result.distance:.6f}")
     return 0
 
@@ -210,9 +213,8 @@ def _cmd_identify(args) -> int:
 def _cmd_verify(args) -> int:
     measure = measure_from_args(args)
     gallery = load_gallery(args.gallery)
-    config = pipeline_from_args(args, gallery.config)
     img = load_image(args.image)
-    result = verify(gallery, args.identity, img, measure, args.threshold, config)
+    result = verify(gallery, args.identity, img, measure, args.threshold, gallery.config)
     print(f"{'genuine' if result.genuine else 'forgery'} {result.distance:.6f}")
     return 0
 
@@ -268,7 +270,6 @@ def _enroll_args(sp) -> None:
 def _identify_args(sp) -> None:
     sp.add_argument("gallery", metavar="GALLERY")
     _add_measure_flags(sp)
-    _add_preprocess_flags(sp)
     sp.add_argument("--dump-subbands", metavar="DIR", default=None,
                     help="also write the probe's subband planes as PGMs")
     sp.add_argument("image", metavar="IMAGE")
@@ -281,7 +282,6 @@ def _verify_args(sp) -> None:
     sp.add_argument("--threshold", type=float, required=True,
                     help="accept when the closest-template distance is <= this")
     _add_measure_flags(sp)
-    _add_preprocess_flags(sp)
     sp.add_argument("image", metavar="IMAGE")
     sp.set_defaults(handler=_cmd_verify)
 
@@ -295,7 +295,7 @@ def _evaluate_args(sp) -> None:
                     help="comma-separated family names (default: all)")
     sp.add_argument("--train-k", type=_positive_int, default=12,
                     help="templates per identity (default 12)")
-    sp.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
+    sp.add_argument("--seed", type=_seed_int, default=0, help="split seed (default 0)")
     sp.add_argument("--minkowski-p", type=float, default=DEFAULT_MINKOWSKI_P, metavar="P")
     sp.add_argument("--levels", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
@@ -310,7 +310,7 @@ def _synth_args(sp) -> None:
     sp.add_argument("out", metavar="OUT_ROOT")
     sp.add_argument("--identities", type=_positive_int, default=spec.n_identities)
     sp.add_argument("--samples", type=_positive_int, default=spec.samples_per_identity)
-    sp.add_argument("--seed", type=int, default=spec.seed)
+    sp.add_argument("--seed", type=_seed_int, default=spec.seed)
     sp.add_argument("--rotation", type=float, default=spec.rotation_deg,
                     help="max |rotation| in degrees (default %(default)g)")
     sp.add_argument("--scale", type=float, nargs=2, default=spec.scale_range,

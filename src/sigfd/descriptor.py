@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadLength, DegenerateDescriptor, FormatError, IoError, SigfdError
+from .errors import BadLength, DegenerateDescriptor, FormatError, IoError, SigfdError, _is_int
 from .imaging import GrayImage, PreprocessConfig, preprocess
 # `dwt2_multi` is not called here, but bench/spans.py traces calls by
 # patching this module's globals, so every name it looks up on this module
@@ -34,7 +34,7 @@ def _check_magnitudes(mags: np.ndarray) -> None:
 
 
 def _check_k(k, n: int) -> None:
-    if not isinstance(k, int) or not 2 <= k <= n - 2:
+    if not _is_int(k) or not 2 <= k <= n - 2:
         raise BadLength(f"need an integer 2 <= k <= N-2, got k={k!r} with N={n}")
 
 

@@ -3,8 +3,20 @@
 Every failure mode that crosses a module boundary gets its own class so
 callers can react to the contract that was violated rather than parsing
 message strings.  All classes derive from SigfdError; the CLI maps any
-SigfdError to a data/processing exit code.
+SigfdError to a data/processing exit code.  A parameter of the wrong
+type or out of range is a `ValueError` (or the class named for it below)
+when its config is built; `_is_int` and `_is_real` are the type rules.
 """
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: `True` passes `isinstance(_, int)` but is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """An int or a float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class SigfdError(Exception):

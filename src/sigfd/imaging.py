@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadTarget, BadWindow, FormatError, IoError, TooFewPixels
+from .errors import BadTarget, BadWindow, FormatError, IoError, TooFewPixels, _is_int
 
 BACKGROUND = 255
 
@@ -57,12 +57,12 @@ def _power_of_two(n: int) -> bool:
 
 
 def _check_window(window) -> None:
-    if not isinstance(window, int) or window < 1 or window % 2 == 0:
+    if not _is_int(window) or window < 1 or window % 2 == 0:
         raise BadWindow(f"median window must be an odd integer >= 1, got {window!r}")
 
 
 def _check_threshold(threshold) -> None:
-    if threshold is not None and not (isinstance(threshold, int) and 0 <= threshold <= 255):
+    if threshold is not None and not (_is_int(threshold) and 0 <= threshold <= 255):
         raise ValueError(f"binarize threshold must be an int in [0, 255], got {threshold!r}")
 
 
@@ -84,7 +84,7 @@ class PreprocessConfig:
         _check_window(self.median_window)
         size = self.target_size
         if not (isinstance(size, (tuple, list)) and len(size) == 2
-                and all(isinstance(n, int) for n in size)):
+                and all(map(_is_int, size))):
             raise ValueError(f"target size must be two ints (width, height), got {size!r}")
         if not (_power_of_two(size[0]) and _power_of_two(size[1])):
             raise BadTarget(f"target size must be powers of two, got {size!r}")
@@ -401,8 +401,11 @@ def warp_similarity(img: GrayImage, rotation: float = 0.0, scale: float = 1.0,
     sx = ca * xx + sa * yy
     sy = -sa * xx + ca * yy
     if scale != 1.0:  # x / 1.0 is x
-        sx /= scale
-        sy /= scale
+        # below about 1e-308 a far pixel maps past the float range, to an
+        # infinity that the sampler clips to paper as it would any far point
+        with np.errstate(over="ignore"):
+            sx /= scale
+            sy /= scale
     sx += cx
     sy += cy
     samples = _sample_bilinear(px, sx, sy, BACKGROUND)

@@ -6,10 +6,11 @@ so floating-point drift cannot push outputs past the mathematical range.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 
-from .errors import DegenerateInput, LengthMismatch
+from .errors import DegenerateInput, LengthMismatch, _is_real
 
 MEASURE_NAMES = (
     "minkowski",
@@ -35,10 +36,12 @@ class DistanceMeasure:
         if self.name not in MEASURE_NAMES:
             known = ", ".join(MEASURE_NAMES)
             raise ValueError(f"unknown measure {self.name!r}, expected one of: {known}")
-        # the distance is raised to 1/p, which is inf for p below about 5.6e-309
-        if not (0 < self.p < np.inf and 1.0 / float(self.p) < np.inf):
-            raise ValueError(f"minkowski order must be positive, with p and 1/p finite, "
-                             f"got {self.p!r}")
+        # the distance is raised to 1/p, which is inf for p below about 5.6e-309;
+        # the largest float, not inf, bounds p so that an int beyond it is refused
+        p = self.p
+        if not (_is_real(p) and 0 < p <= sys.float_info.max and 1.0 / float(p) < np.inf):
+            raise ValueError(f"minkowski order must be a positive number, with p and 1/p "
+                             f"finite, got {p!r}")
 
 
 # Gallery rows are scanned this many at a time, so the working set stays

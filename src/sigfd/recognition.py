@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .descriptor import (FourierDescriptor, PipelineConfig, _check_magnitudes,
                          load_descriptor, normalize_descriptor, save_descriptor)
 from .errors import (DuplicateSample, EmptyGallery, FormatError,
                      InsufficientSamples, IoError, MetaMismatch, SigfdError,
-                     UnknownIdentity)
+                     UnknownIdentity, _is_int, _is_real)
 from .imaging import (BACKGROUND, GrayImage, load_image, preprocess, save_image,
                       warp_similarity)
 from .metrics import DistanceMeasure, distance, pairwise_distances
@@ -294,6 +295,12 @@ SYNTH_CANVAS = 256
 _SYNTH_MARGIN = 32
 
 
+def _check_seed(seed) -> None:
+    """The seed rule of `SynthSpec`, `evaluate` and both `--seed` flags."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the synthetic signature generator.
@@ -313,17 +320,26 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_identities < 1 or self.samples_per_identity < 1:
-            raise ValueError("need at least one identity and one sample each")
-        # each is drawn uniformly over [-x, x], and numpy needs the width 2x finite
-        if not all(0 <= 2 * x < math.inf for x in (self.rotation_deg, self.translation_px)):
-            raise ValueError("rotation and translation ranges x must be nonnegative, "
+        if not all(_is_int(n) and n >= 1 for n in (self.n_identities,
+                                                   self.samples_per_identity)):
+            raise ValueError("need at least one identity and one sample each, as ints")
+        # The ranges are ints or floats.  Each of rotation and translation is
+        # drawn uniformly over [-x, x], and numpy needs the width 2x finite;
+        # comparing with the largest float, not inf, also refuses an int that
+        # has no float.
+        top = sys.float_info.max
+        if not all(_is_real(x) and 0 <= 2 * x <= top
+                   for x in (self.rotation_deg, self.translation_px)):
+            raise ValueError("rotation and translation ranges x must be nonnegative numbers, "
                              "with [-x, x] of finite width")
-        lo, hi = self.scale_range
-        if not 0 < lo <= hi < math.inf:
-            raise ValueError(f"scale range must be 0 < lo <= hi < inf, got {self.scale_range!r}")
-        if not 0 <= self.noise_fraction <= 0.2:
+        scale = self.scale_range
+        if not (isinstance(scale, (tuple, list)) and len(scale) == 2 and all(map(_is_real, scale))
+                and 0 < scale[0] <= scale[1] <= top):
+            raise ValueError(f"scale range must be two numbers 0 < lo <= hi < inf, "
+                             f"got {scale!r}")
+        if not (_is_real(self.noise_fraction) and 0 <= self.noise_fraction <= 0.2):
             raise ValueError(f"noise fraction must be in [0, 0.2], got {self.noise_fraction!r}")
+        _check_seed(self.seed)
 
 
 def _chaikin(pts: np.ndarray, rounds: int = 4) -> np.ndarray:
@@ -453,7 +469,9 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     """Split, enroll, probe: rank-1 recognition rate per measure and family.
 
     The split is drawn once from `seed` and shared by every (measure,
-    family) cell.  config.family is ignored; levels, k, and preprocessing
+    family) cell.  `train_k` must be an int and `seed` a non-negative int,
+    or the call is a `ValueError`; a train_k below 1 is `InsufficientSamples`.
+    config.family is ignored; levels, k, and preprocessing
     are shared across the grid.  A single-identity dataset still runs but
     its 100% rates are flagged degenerate.  Images are read in label order
     and each is preprocessed once and described under every family before
@@ -465,6 +483,9 @@ def evaluate(dataset: dict[str, list[GrayImage]], measures, families,
     families = tuple(families)
     if not measures or not families:
         raise ValueError("need at least one measure and one family")
+    if not _is_int(train_k):
+        raise ValueError(f"train_k must be an int, got {train_k!r}")
+    _check_seed(seed)
     labels = sorted(dataset)
     if not labels:
         raise InsufficientSamples("dataset has no identities")

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadLevels, MalformedDecomposition, OddDimension
+from .errors import BadLevels, MalformedDecomposition, OddDimension, _is_int
 from .imaging import BACKGROUND, GrayImage
 
 
@@ -218,7 +218,7 @@ def dwt2_level(plane: np.ndarray, filters: FilterPair):
 
 def _check_levels(levels, width: int, height: int) -> None:
     # shifting the extents, rather than building 2**levels, keeps a huge levels cheap
-    if not isinstance(levels, int) or levels < 1 or any(
+    if not _is_int(levels) or levels < 1 or any(
             (n >> levels) << levels != n for n in (width, height)):
         raise BadLevels(f"{width}x{height} does not support {levels!r} halvings")
 

@@ -13,11 +13,11 @@ from sigfd import cli
 from sigfd.cli import build_parser, measure_from_args, pipeline_from_args, run
 from sigfd.descriptor import PipelineConfig, extract_features
 from sigfd.errors import FormatError
-from sigfd.imaging import GrayImage, PreprocessConfig, load_image, save_image
+from sigfd.imaging import GrayImage, PreprocessConfig, load_image, preprocess, save_image
 from sigfd.metrics import DEFAULT_MINKOWSKI_P, DistanceMeasure
 from sigfd.recognition import (Gallery, SynthSpec, generate_synthetic,
                                identify, load_gallery, save_dataset, save_gallery)
-from sigfd.wavelet import WaveletFamily
+from sigfd.wavelet import WaveletFamily, dwt2_multi, subband_images
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +43,11 @@ def test_cli_config_resolves_flags_and_defaults():
     parse = build_parser().parse_args
     assert pipeline_from_args(parse(["enroll", "g", "a", "x.pgm"])) == PipelineConfig()
     assert pipeline_from_args(parse(["evaluate", "d"])) == PipelineConfig()
-    args = parse(["identify", "g", "--measure", "euclidean",
-                  "--median-window", "5", "--target-size", "128", "64", "probe.pgm"])
+    args = parse(["enroll", "g", "a", "--median-window", "5", "--target-size", "128", "64",
+                  "probe.pgm"])
     assert args.gallery == "g"
-    assert measure_from_args(args) == DistanceMeasure("euclidean")
+    assert measure_from_args(parse(["identify", "g", "--measure", "euclidean", "p.pgm"])) == \
+        DistanceMeasure("euclidean")
     config = pipeline_from_args(args)
     assert config.preprocess == PreprocessConfig(median_window=5, target_size=(128, 64))
     assert (config.family, config.levels, config.k) == (WaveletFamily.SYM8, 3, 64)
@@ -160,15 +161,27 @@ def test_usage_errors_exit_one(tmp_path, dataset_dir, gallery_dir):
     assert run(["frobnicate"]) == 1
     assert run(["identify", str(gallery_dir), "--measure", "cosine",
                 probe]) == 1
-    assert run(["identify", str(gallery_dir), "--median-window", "4",
-                probe]) == 1
-    assert run(["identify", str(gallery_dir), "--target-size", "100",
-                "128", probe]) == 1
+    assert run(["enroll", str(tmp_path / "g"), "a", "--median-window", "4", probe]) == 1
+    assert run(["evaluate", str(dataset_dir), "--target-size", "100", "128"]) == 1
+    assert not (tmp_path / "g").exists()
     assert run(["evaluate", str(dataset_dir), "--train-k", "0"]) == 1
     assert run(["evaluate", str(dataset_dir), "--families", "db3"]) == 1
     assert run(["evaluate", str(dataset_dir), "--measures", ","]) == 1
     assert run(["evaluate", str(dataset_dir), "--families", " , "]) == 1
     assert run(["synth", str(tmp_path / "s"), "--noise", "0.9"]) == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("command", ["evaluate", "synth"])
+def test_a_seed_is_a_non_negative_int_or_a_usage_error_before_any_file(tmp_path, capsys,
+                                                                      command, seed):
+    # a dataset that is not there would be a data error, had it been read
+    root = tmp_path / "missing"
+    assert run([command, str(root), f"--seed={seed}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sigfd {command}: error: argument --seed: " in captured.err
+    assert not root.exists()
 
 
 def test_data_errors_exit_two(tmp_path, dataset_dir, gallery_dir):
@@ -511,11 +524,9 @@ def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, cap
     assert (gal / "MANIFEST.siggal").read_bytes().startswith(b"SIGGAL v3 sym8 3 64 3 256 256 0 - ")
     probe = str(dataset_dir / "id001" / "s003.pgm")
     capsys.readouterr()
-    # flags left out come from the gallery, so these two answer alike
+    # queries take every extraction setting from the gallery
     assert run(["identify", str(gal), probe]) == 0
     inherited = capsys.readouterr().out
-    assert run(["identify", str(gal), "--no-slant", probe]) == 0
-    assert capsys.readouterr().out == inherited
     g = load_gallery(gal)
     manhattan = DistanceMeasure("manhattan")
     result = identify(g, load_image(probe), manhattan, no_slant)
@@ -527,17 +538,31 @@ def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, cap
         != result.distance
     assert run(["verify", str(gal), "id001", "--threshold", "9", probe]) == 0
     assert capsys.readouterr().out == f"genuine {result.distance:.6f}\n"
-    # an explicit flag that disagrees with the gallery exits 2 and writes nothing
+    # the dumped planes are the probe's under the gallery's preprocessing too
+    bands = tmp_path / "bands"
+    assert run(["identify", str(gal), "--dump-subbands", str(bands), probe]) == 0
+    assert capsys.readouterr().out == inherited
+    dumped = {path.name: load_image(path).pixels.tobytes() for path in bands.iterdir()}
+    for pre, same in ((no_slant.preprocess, True), (PreprocessConfig(), False)):
+        planes = subband_images(dwt2_multi(preprocess(load_image(probe), pre), no_slant.family,
+                                           no_slant.levels))
+        want = {f"{name}.pgm": plane.pixels.tobytes() for name, plane in planes}
+        assert (want == dumped) is same
+    # identify and verify take no extraction flag, not even one that repeats
+    # the gallery's; enroll's flag that disagrees with the gallery is a mismatch
     new = str(dataset_dir / "id002" / "s001.pgm")
     before = _tree_bytes(gal)
-    for argv in (["identify", str(gal), "--median-window", "5", probe],
-                 ["identify", str(gal), "--target-size", "128", "128", probe],
-                 ["verify", str(gal), "id001", "--threshold", "9", "--binarize-threshold", "90",
-                  probe],
-                 ["enroll", str(gal), "id002", "--median-window", "5", new]):
-        assert run(argv) == 2
+    for argv, code, error in (
+            (["identify", str(gal), "--no-slant", probe], 1, "--no-slant"),
+            (["identify", str(gal), "--median-window", "5", probe], 1, "--median-window"),
+            (["identify", str(gal), "--target-size", "128", "128", probe], 1, "--target-size"),
+            (["verify", str(gal), "id001", "--threshold", "9", "--binarize-threshold", "90",
+              probe], 1, "--binarize-threshold"),
+            (["enroll", str(gal), "id002", "--median-window", "5", new], 2, "MetaMismatch")):
+        assert run(argv) == code
         captured = capsys.readouterr()
-        assert captured.out == "" and "MetaMismatch" in captured.err
+        assert captured.out == ""
+        assert (f"unrecognized arguments: {error}" if code == 1 else error) in captured.err
     assert _tree_bytes(gal) == before
     # enroll without flags takes the stored preprocessing too
     assert run(["enroll", str(gal), "id002", new]) == 0
@@ -545,6 +570,26 @@ def test_enrolled_preprocessing_is_stored_and_applied(tmp_path, dataset_dir, cap
     assert g.config == no_slant
     assert g.magnitudes[-1].tobytes() == \
         extract_features(load_image(new), no_slant).magnitudes.tobytes()
+
+
+@pytest.mark.parametrize("flag", [["--median-window", "3"], ["--target-size", "256", "256"],
+                                  ["--no-slant"], ["--binarize-threshold", "100"]],
+                         ids=lambda flag: flag[0])
+@pytest.mark.parametrize("command", [["identify", "{gal}", "--dump-subbands", "{out}"],
+                                     ["verify", "{gal}", "id001", "--threshold", "9"]],
+                         ids=lambda command: command[0])
+def test_queries_refuse_every_preprocessing_flag(tmp_path, dataset_dir, gallery_dir, capsys,
+                                                  command, flag):
+    # even a value that restates the gallery's: the gallery alone sets extraction
+    out = tmp_path / "bands"
+    argv = [a.format(gal=gallery_dir, out=out) for a in command]
+    before = _tree_bytes(gallery_dir)
+    capsys.readouterr()
+    assert run([*argv, *flag, str(dataset_dir / "id001" / "s003.pgm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag[0]}" in captured.err
+    assert _tree_bytes(gallery_dir) == before and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -587,11 +632,12 @@ def test_a_committed_gallery_file_reads_and_answers_as_before(tmp_path, readme_d
     for argv, out in _PINNED_ANSWERS:
         assert run([a.format(gal=V3_GALLERY, data=readme_dataset) for a in argv]) == 0
         assert capsys.readouterr().out == out
-    # the file holds the default preprocessing, so another one is a mismatch
+    # the file holds the preprocessing, so a query takes no flag for it
     probe = str(readme_dataset / "id001" / "s003.pgm")
-    assert run(["identify", str(V3_GALLERY), "--no-slant", probe]) == 2
+    assert run(["identify", str(V3_GALLERY), "--no-slant", probe]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "MetaMismatch" in captured.err
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --no-slant\n")
 
 
 def test_the_committed_gallery_templates_re_extract_from_their_scans(readme_dataset):
@@ -636,7 +682,9 @@ def test_help_and_usage_text_is_pinned(case, capsys, monkeypatch):
     """Help and usage output, byte for byte as captured from the CLI that built
     every subcommand's arguments up front (argparse of Python 3.11, 80 columns);
     the enroll, identify and verify help was captured again when its
-    --median-window and --target-size defaults became the gallery's."""
+    --median-window and --target-size defaults became the gallery's, and the
+    identify and verify help and usage once more when they lost the
+    preprocessing flags."""
     monkeypatch.setenv("COLUMNS", "80")
     want = _CLI_TEXT[case]
     code = run(want["argv"])
@@ -695,9 +743,9 @@ def test_a_shared_parser_answers_as_a_fresh_process(fresh_parser, tmp_path, data
 
 def test_threads_share_the_parser(fresh_parser):
     lines = [["identify", "g", "p.pgm"],
-             ["identify", "g", "--measure", "angle", "--no-slant", "q.pgm"],
+             ["identify", "g", "--measure", "angle", "--dump-subbands", "d", "q.pgm"],
              ["verify", "g", "a", "--threshold", "2", "p.pgm"],
-             ["verify", "g", "b", "--threshold", "3", "--median-window", "5", "q.pgm"]]
+             ["verify", "g", "b", "--threshold", "3", "--minkowski-p", "5", "q.pgm"]]
     want = [build_parser().parse_args(argv) for argv in lines]
     shared = cli._parser()
     barrier = threading.Barrier(len(lines))

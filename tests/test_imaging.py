@@ -539,15 +539,21 @@ def test_warp_far_translation_is_paper_and_huge_scale_samples_the_centre():
             assert (warp_similarity(GrayImage(px), scale=scale).pixels == 0).all()
 
 
-def test_warp_tiny_scale_keeps_one_ink_pixel():
+@pytest.mark.parametrize("scale", [1e-20, 1e-310, 5e-324])
+def test_warp_tiny_scale_keeps_one_ink_pixel(scale):
     # every output pixel but the centre maps some 1e20 pixels away, past
-    # the range of an int64 index
+    # the range of an int64 index, and at a subnormal scale past the float
+    # range; an even frame has no pixel at its centre, so it turns to paper
     px = np.full((9, 9), BACKGROUND, dtype=np.uint8)
     px[4, 4] = 0
+    even = np.full((8, 8), BACKGROUND, dtype=np.uint8)
+    even[3:5, 3:5] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = warp_similarity(GrayImage(px), scale=1e-20).pixels
+        out = warp_similarity(GrayImage(px), scale=scale).pixels
+        paper = warp_similarity(GrayImage(even), scale=scale).pixels
     assert np.array_equal(out, px)
+    assert (paper == BACKGROUND).all()
 
 
 @st.composite

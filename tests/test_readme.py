@@ -1,10 +1,11 @@
-"""The README's Library and Command line examples run as written."""
+"""The README's Library and Command line examples run as written, and name every option."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from sigfd.cli import run
+from sigfd.cli import build_parser, run
 from sigfd.imaging import save_image
 from sigfd.recognition import SynthSpec, generate_synthetic
 
@@ -45,3 +46,21 @@ def test_readme_command_line_example_prints_its_comments(tmp_path, monkeypatch, 
             shown.append(line)
     # synth, three enrolls, identify, verify and evaluate; two lines of the CSV
     assert (len(commands), len(shown)) == (7, 4)
+
+
+def _parser_long_options() -> set[str]:
+    """Every long option of every subcommand parser, `--help` aside."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {option for sub in commands.choices.values() for action in sub._actions
+            for option in action.option_strings if option.startswith("--")} - {"--help"}
+
+
+def test_readme_command_line_section_names_every_long_option_and_no_other():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line\n"):]
+    section = section[:section.index("\n## ", 1)]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    options = _parser_long_options()
+    assert options - named == set(), "options README's Command line section never names"
+    assert named - options - {"--help"} == set(), "options README names that no parser has"

@@ -14,14 +14,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigfd import metrics, recognition
 from sigfd.descriptor import FourierDescriptor, PipelineConfig, extract_features
 from sigfd.errors import (DegenerateDescriptor, DuplicateSample, EmptyGallery,
                           FormatError, InsufficientSamples, IoError, MetaMismatch,
-                          UnknownIdentity)
+                          SigfdError, UnknownIdentity)
 from sigfd.imaging import GrayImage, PreprocessConfig
 from sigfd.metrics import MEASURE_NAMES, DistanceMeasure, distance, pairwise_distances
 from sigfd.recognition import (SYNTH_CANVAS, EvalReport, Gallery, SynthSpec, Template,
@@ -1043,6 +1043,42 @@ def test_v3_round_trip_keeps_columns_names_magnitudes_and_preprocessing(tmp_path
     assert (back.identities, back.sample_ids) == (built.identities, built.sample_ids)
     assert [(back.names[c], back.sample_names[d])
             for c, d in zip(back.columns, back.sample_columns)] == keys
+
+
+_SMALL_INT = st.integers(-1, 9) | st.booleans()
+
+
+@settings(deadline=None, max_examples=60)
+@given(family=st.sampled_from(list(WaveletFamily)), levels=_SMALL_INT,
+       k=st.integers(-1, 40) | st.booleans(), median_window=_SMALL_INT,
+       target_size=st.tuples(*[st.sampled_from([1, 2, 8, 32, 64]) | st.booleans()] * 2),
+       slant=st.booleans(), threshold=st.none() | st.integers(-1, 256) | st.booleans(),
+       count=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+# bools pass `isinstance(_, int)`, and a header holding `True` would not load
+@example(family=WaveletFamily.SYM8, levels=True, k=8, median_window=3, target_size=(64, 64),
+         slant=True, threshold=None, count=1, seed=0)
+@example(family=WaveletFamily.SYM8, levels=3, k=8, median_window=3, target_size=(64, 64),
+         slant=True, threshold=True, count=1, seed=0)
+@example(family=WaveletFamily.SYM8, levels=3, k=8, median_window=True, target_size=(64, 64),
+         slant=True, threshold=None, count=1, seed=0)
+def test_every_accepted_config_saves_and_loads_as_itself(tmp_path_factory, family, levels, k,
+                                                          median_window, target_size, slant,
+                                                          threshold, count, seed):
+    try:
+        config = PipelineConfig(family, levels, k, PreprocessConfig(median_window, target_size,
+                                                                    slant, threshold))
+    except (SigfdError, ValueError):
+        return
+    built = Gallery._from_columns(config, tuple(f"id{i}" for i in range(count)), np.arange(count),
+                                  ("s0",) if count else (), np.zeros(count),
+                                  np.random.default_rng(seed).random((count, config.k)))
+    root = tmp_path_factory.mktemp("config")
+    save_gallery(built, root)
+    back = load_gallery(root)
+    assert back.config == config
+    assert (back.names, back.sample_names) == (built.names, built.sample_names)
+    for field in ("columns", "sample_columns", "magnitudes"):
+        assert getattr(back, field).tobytes() == getattr(built, field).tobytes()
 
 
 def test_dataset_round_trip(tmp_path, tiny_dataset):
