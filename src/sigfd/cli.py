@@ -39,8 +39,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _vetted(value: int, check) -> int:
-    """`value` when the library's own `check` accepts it, else a usage error."""
+def _vetted(text: str, check) -> int:
+    """`text` as an int that `check` accepts, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     try:
         check(value)
     except (SigfdError, ValueError) as exc:
@@ -48,30 +52,34 @@ def _vetted(value: int, check) -> int:
     return value
 
 
+def _check_power_of_two(value: int) -> None:
+    if not _power_of_two(value):
+        raise ValueError(f"{value} is not a power of two")
+
+
+def _check_positive(value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{value} is not >= 1")
+
+
 def _odd_int(text: str) -> int:
-    return _vetted(int(text), _check_window)
+    return _vetted(text, _check_window)
 
 
 def _pow2_int(text: str) -> int:
-    value = int(text)
-    if not _power_of_two(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a power of two")
-    return value
+    return _vetted(text, _check_power_of_two)
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
+    return _vetted(text, _check_positive)
 
 
 def _byte_int(text: str) -> int:
-    return _vetted(int(text), _check_threshold)
+    return _vetted(text, _check_threshold)
 
 
 def _seed_int(text: str) -> int:
-    return _vetted(int(text), _check_seed)
+    return _vetted(text, _check_seed)
 
 
 def _measure_name(text: str) -> str:

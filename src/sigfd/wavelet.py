@@ -17,9 +17,9 @@ pixels X are `BACKGROUND` less the ink D, which is zero outside the
 ink's bounding box, and every row of M sums to sqrt(2)**levels, so the
 plane is a constant paper plane less M_h @ D @ M_w.T, for which
 `_ink_plane` needs only the operators' columns over the box.  The
-descriptor reads that ink plane alone; `approximation` puts the paper
-back.  `dwt2_multi` builds every detail plane as well; it serves subband
-dumps and is the oracle the operators are tested against.
+descriptor reads that ink plane alone.  `dwt2_multi` builds every detail
+plane as well; it serves subband dumps and is the oracle the operators
+are tested against.
 
 Filter taps are float64 evaluations of exact spectral factorizations of
 the maximally flat half-band polynomial: minimum phase for the dbN
@@ -304,21 +304,6 @@ def _ink_plane(box, family: WaveletFamily, levels: int) -> np.ndarray:
     _check_levels(levels, w, h)
     rows_op = _lowpass_operator(family, levels, h)[:, rows]
     return rows_op @ ink @ _lowpass_operator(family, levels, w)[:, cols].T
-
-
-def approximation(img: GrayImage, family: WaveletFamily, levels: int) -> np.ndarray:
-    """Coarsest approximation plane of `dwt2_multi`, without the details.
-
-    The pixels are `BACKGROUND` less the ink, so the plane is the paper's
-    plane, the outer product of the operators' row sums times `BACKGROUND`,
-    less `_ink_plane`.  Equal to `dwt2_multi(img, family, levels).approx` up
-    to rounding.
-    """
-    ink = _ink_plane(_ink_box(img), family, levels)
-    h, w = img.pixels.shape
-    paper = np.outer(_lowpass_operator(family, levels, h).sum(axis=1),
-                     _lowpass_operator(family, levels, w).sum(axis=1))
-    return BACKGROUND * paper - ink
 
 
 def idwt2(dec: WaveletDecomposition) -> np.ndarray:

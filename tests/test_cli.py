@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -181,6 +182,36 @@ def test_a_seed_is_a_non_negative_int_or_a_usage_error_before_any_file(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"sigfd {command}: error: argument --seed: " in captured.err
+    assert not root.exists()
+
+
+_BAD_INTEGER_FLAGS = [
+    (["evaluate", "--median-window", "x"], "'x' is not an integer"),
+    (["evaluate", "--median-window", "4"], "median window must be an odd integer >= 1, got 4"),
+    (["evaluate", "--target-size", "64", "1.5"], "'1.5' is not an integer"),
+    (["evaluate", "--target-size", "100", "64"], "100 is not a power of two"),
+    (["evaluate", "--binarize-threshold", "t"], "'t' is not an integer"),
+    (["evaluate", "--binarize-threshold", "256"],
+     "binarize threshold must be an int in [0, 255], got 256"),
+    (["evaluate", "--train-k", "1e3"], "'1e3' is not an integer"),
+    (["evaluate", "--train-k", "0"], "0 is not >= 1"),
+    (["evaluate", "--seed", "1.5"], "'1.5' is not an integer"),
+    (["synth", "--identities", "two"], "'two' is not an integer"),
+    (["synth", "--samples", "-3"], "-3 is not >= 1"),
+    (["synth", "--seed", "-1"], "seed must be a non-negative int, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,error", _BAD_INTEGER_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in _BAD_INTEGER_FLAGS])
+def test_a_bad_integer_flag_is_a_usage_error_that_names_no_private_function(tmp_path, capsys,
+                                                                            argv, error):
+    root = tmp_path / "missing"
+    assert run([argv[0], str(root), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sigfd {argv[0]}: error: argument {argv[1]}: {error}\n" in captured.err
+    assert re.search(r"(?<![\w-])_[a-z]", captured.err) is None
     assert not root.exists()
 
 

@@ -16,6 +16,8 @@ from sigfd.imaging import (BACKGROUND, GrayImage, PreprocessConfig,
                            preprocess, rotate, save_image, scale_normalize,
                            warp_similarity)
 
+import reference
+
 
 def test_gray_image_validates_shape():
     with pytest.raises(ValueError):
@@ -150,17 +152,6 @@ def test_bad_pgm_dimensions_and_maxval_are_format_errors(pgm_path, header):
 
 # --- median filter -------------------------------------------------------------
 
-def _median_oracle(px, window):
-    pad = window // 2
-    padded = np.pad(px, pad, mode="edge")
-    out = np.empty_like(px)
-    for r in range(px.shape[0]):
-        for c in range(px.shape[1]):
-            block = padded[r:r + window, c:c + window].ravel()
-            out[r, c] = sorted(block)[len(block) // 2]
-    return out
-
-
 def test_median_window_one_is_identity():
     rng = np.random.default_rng(1)
     img = GrayImage(rng.integers(0, 256, size=(6, 6), dtype=np.uint8))
@@ -180,16 +171,10 @@ def test_median_matches_sort_oracle():
         for _ in range(5):
             px = rng.integers(0, 256, size=(9, 7), dtype=np.uint8)
             out = median_filter(GrayImage(px), window)
-            assert np.array_equal(out.pixels, _median_oracle(px, window))
+            assert np.array_equal(out.pixels, reference.median(px, window))
 
 
-def _median_np_oracle(px, window):
-    padded = np.pad(px, window // 2, mode="edge")
-    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-    return np.median(view.reshape(px.shape + (-1,)), axis=2).astype(np.uint8)
-
-
-def test_median_network_matches_np_median_on_edge_shapes():
+def test_median_matches_the_reference_on_edge_shapes():
     rng = np.random.default_rng(5)
     images = [rng.integers(0, 256, size=shape, dtype=np.uint8)
               for shape in ((1, 1), (1, 9), (9, 1), (2, 3), (3, 2))]
@@ -199,7 +184,7 @@ def test_median_network_matches_np_median_on_edge_shapes():
         for window in (1, 3, 5):
             out = median_filter(GrayImage(px), window)
             assert out.pixels.dtype == np.uint8
-            assert np.array_equal(out.pixels, _median_np_oracle(px, window)), (px.shape, window)
+            assert np.array_equal(out.pixels, reference.median(px, window)), (px.shape, window)
         assert np.array_equal(median_filter(GrayImage(px), 1).pixels, px)
 
 
@@ -223,31 +208,12 @@ def test_median_rejects_bad_windows():
 
 # --- binarization ----------------------------------------------------------------
 
-def _otsu_oracle(px):
-    hist = [0] * 256
-    for v in px.ravel():
-        hist[int(v)] += 1
-    total = px.size
-    best_t, best_var = 1, -1.0
-    for t in range(1, 256):
-        w0 = sum(hist[:t])
-        w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
-        mu0 = sum(v * hist[v] for v in range(t)) / w0
-        mu1 = sum(v * hist[v] for v in range(t, 256)) / w1
-        var = w0 * w1 * (mu0 - mu1) ** 2
-        if var > best_var:
-            best_var, best_t = var, t
-    return best_t
-
-
 def test_otsu_two_class_image():
     px = np.full((16, 16), 230, dtype=np.uint8)
     px.ravel()[:100] = 20
     t = otsu_threshold(px)
     assert 20 < t <= 230
-    assert t == _otsu_oracle(px)
+    assert t == reference.otsu(px)
     mask = binarize(GrayImage(px))
     assert np.count_nonzero(mask) == 100
     assert np.array_equal(mask, px < t)
@@ -257,7 +223,7 @@ def test_otsu_matches_oracle_on_random_images():
     rng = np.random.default_rng(3)
     for _ in range(10):
         px = rng.integers(0, 256, size=(12, 12), dtype=np.uint8)
-        assert otsu_threshold(px) == _otsu_oracle(px)
+        assert otsu_threshold(px) == reference.otsu(px)
 
 
 def test_binarize_constant_image_is_degenerate():
@@ -425,34 +391,6 @@ def test_warp_integer_translation_moves_content():
         assert np.array_equal(out, expected), (dx, dy)
 
 
-def _bilinear_reference(px, x, y, fill):
-    """One bilinear sample at (x, y): the taps floor(c) and floor(c)+1 on each
-    axis, `fill` off the image, each weight product times its tap added onto
-    0.0 in the order y0x0, y0x1, y1x0, y1x1, rounded half to even into a byte."""
-    h, w = px.shape
-    x0, y0 = math.floor(x), math.floor(y)
-    acc = 0.0
-    for yi, wy in ((y0, 1.0 - (y - y0)), (y0 + 1, y - y0)):
-        for xi, wx in ((x0, 1.0 - (x - x0)), (x0 + 1, x - x0)):
-            inside = 0 <= yi < h and 0 <= xi < w
-            acc += wy * wx * (float(px[yi, xi]) if inside else float(fill))
-    return min(max(round(acc), 0), 255)
-
-
-def _warp_reference(px, rotation, scale, dx, dy):
-    """Per-pixel bilinear inverse map; taps off the image read BACKGROUND."""
-    h, w = px.shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    ca, sa = math.cos(rotation), math.sin(rotation)
-    out = np.empty_like(px)
-    for r in range(h):
-        for c in range(w):
-            u, v = c - cx - dx, r - cy - dy
-            out[r, c] = _bilinear_reference(px, (ca * u + sa * v) / scale + cx,
-                                            (-sa * u + ca * v) / scale + cy, BACKGROUND)
-    return out
-
-
 def _axis_coordinates(n):
     """Sample coordinates along an axis of n pixels: the edges -1, 0, n-1 and
     n, half-integers, points in [-2, -1) and (n, n+1], +-1e20, and a 0.1-step
@@ -472,13 +410,13 @@ def test_sampler_matches_a_per_sample_reference(shape, fill):
     px = rng.integers(0, 256, size=shape, dtype=np.uint8)
     xs, ys = _axis_coordinates(shape[1]), _axis_coordinates(shape[0])
     # every sample of the grid, in broadcast (1, C)/(R, 1) and full (R, C) form
-    expected = np.array([[_bilinear_reference(px, x, y, fill) for x in xs] for y in ys])
+    expected = reference.sample(px, xs[None, :], ys[:, None], fill)
     assert np.array_equal(_sample_bilinear(px, xs[None, :], ys[:, None], fill), expected)
     gx, gy = np.meshgrid(xs, ys)
     assert np.array_equal(_sample_bilinear(px, gx, gy, fill), expected)
     # a full grid that is no product of two axes
     gx, gy = rng.choice(xs, size=(7, 40)), rng.choice(ys, size=(7, 40))
-    expected = np.vectorize(lambda x, y: _bilinear_reference(px, x, y, fill))(gx, gy)
+    expected = reference.sample(px, gx, gy, fill)
     assert np.array_equal(_sample_bilinear(px, gx, gy, fill), expected)
 
 
@@ -491,7 +429,7 @@ def test_warp_matches_a_per_pixel_reference():
                                            ((37, 53), 0.0, 1.0, 0.0, 0.0)):
         px = rng.integers(0, 256, size=shape, dtype=np.uint8)
         out = warp_similarity(GrayImage(px), rotation, scale, (dx, dy)).pixels
-        assert np.array_equal(out, _warp_reference(px, rotation, scale, dx, dy)), shape
+        assert np.array_equal(out, reference.warp(px, rotation, scale, dx, dy)), shape
     # the identity map samples every pixel at its own centre, bit for bit
     for shape in ((256, 256), (37, 53), (1, 1), (2, 9)):
         px = rng.integers(0, 256, size=shape, dtype=np.uint8)
@@ -512,17 +450,6 @@ def test_warp_rejects_nonpositive_scale():
             warp_similarity(img, **kwargs)
 
 
-def _full_frame(px, rotation, scale, dx, dy, sampler=_sample_bilinear):
-    """The bilinear sampler over every output pixel of the frame."""
-    h, w = px.shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h) - cy - dy, np.arange(w) - cx - dx, indexing="ij")
-    ca, sa = math.cos(rotation), math.sin(rotation)
-    xs = (ca * xx + sa * yy) / scale + cx
-    ys = (-sa * xx + ca * yy) / scale + cy
-    return sampler(px, xs, ys, BACKGROUND)
-
-
 def test_warp_far_translation_is_paper_and_huge_scale_samples_the_centre():
     px = np.full((20, 30), BACKGROUND, dtype=np.uint8)
     px[8:12, 10:20] = 0
@@ -535,7 +462,7 @@ def test_warp_far_translation_is_paper_and_huge_scale_samples_the_centre():
         for scale in (1e300, 1e308):
             for moved in (px, np.roll(px, 8, axis=1)):
                 out = warp_similarity(GrayImage(moved), scale=scale).pixels
-                assert np.array_equal(out, _full_frame(moved, 0.0, scale, 0.0, 0.0))
+                assert np.array_equal(out, reference.warp(moved, 0.0, scale, 0.0, 0.0))
             assert (warp_similarity(GrayImage(px), scale=scale).pixels == 0).all()
 
 
@@ -610,9 +537,7 @@ def test_ink_bounded_warp_equals_the_full_frame_sampler(px, rotation, scale, shi
     h, w = px.shape
     dx, dy = shift[0] * w, shift[1] * h
     out = warp_similarity(GrayImage(px), rotation, scale, (dx, dy)).pixels
-    assert np.array_equal(out, _full_frame(px, rotation, scale, dx, dy))
-    if h <= 12 and w <= 12:
-        assert np.array_equal(out, _warp_reference(px, rotation, scale, dx, dy))
+    assert np.array_equal(out, reference.warp(px, rotation, scale, dx, dy))
 
 
 def test_warp_on_either_side_of_the_dense_ink_share(monkeypatch):
@@ -632,7 +557,7 @@ def test_warp_on_either_side_of_the_dense_ink_share(monkeypatch):
         for rotation, scale in ((0.4, 1.0), (-2.0, 0.6), (math.pi / 4, 1.3)):
             calls.clear()
             out = warp_similarity(GrayImage(px), rotation, scale, (1.5, -2.0)).pixels
-            assert np.array_equal(out, _full_frame(px, rotation, scale, 1.5, -2.0))
+            assert np.array_equal(out, reference.warp(px, rotation, scale, 1.5, -2.0))
             assert bool(calls) == sparse, (count, rotation, scale)
     # reach + 1 >= max(h, w) samples the whole frame, just below it does not
     px = np.full((h, w), BACKGROUND, dtype=np.uint8)
@@ -644,7 +569,7 @@ def test_warp_on_either_side_of_the_dense_ink_share(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = warp_similarity(GrayImage(px), rotation, scale, (0.5, 0.25)).pixels
-        assert np.array_equal(out, _full_frame(px, rotation, scale, 0.5, 0.25))
+        assert np.array_equal(out, reference.warp(px, rotation, scale, 0.5, 0.25))
         assert bool(calls) == sparse, (rotation, scale)
 
 
@@ -666,34 +591,13 @@ def _paper_frames(draw):
     return px
 
 
-def _otsu_bincount_reference(px):
-    """`otsu_threshold` over a histogram counted from every pixel."""
-    hist = np.bincount(px.ravel(), minlength=256).astype(np.float64)
-    csum = np.cumsum(hist)
-    msum = np.cumsum(hist * np.arange(256))
-    w0, s0 = csum[:-1], msum[:-1]
-    w1, s1 = csum[-1] - w0, msum[-1] - s0
-    valid = (w0 > 0) & (w1 > 0)
-    var = np.zeros(255)
-    var[valid] = w0[valid] * w1[valid] * (s0[valid] / w0[valid] - s1[valid] / w1[valid]) ** 2
-    return int(np.argmax(var)) + 1
-
-
-def _orientation_nonzero_reference(bits):
-    """`estimate_orientation` over the coordinates `np.nonzero` lists."""
-    ys, xs = np.nonzero(bits)
-    x, y = xs - xs.mean(), ys - ys.mean()
-    return 0.5 * math.atan2(2.0 * float((x * y).sum()) + 0.0,
-                            float((x * x).sum()) - float((y * y).sum()))
-
-
 @settings(deadline=None, max_examples=200)
 @given(px=_paper_frames(), threshold=st.integers(0, 256))
 @example(px=np.full((3, 4), BACKGROUND, dtype=np.uint8), threshold=256)
 @example(px=np.array([[7, 255], [255, 255]], dtype=np.uint8), threshold=256)
 @example(px=np.array([[0, 254], [1, 3]], dtype=np.uint8), threshold=2)
 def test_otsu_and_orientation_equal_their_full_frame_references(px, threshold):
-    assert otsu_threshold(px) == _otsu_bincount_reference(px)
+    assert otsu_threshold(px) == reference.otsu(px)
     # the mask of the pixels below a threshold, 256 taking every non-paper
     # pixel, in C order and as a transposed view
     bits = px < threshold if threshold < 256 else px != BACKGROUND
@@ -702,7 +606,7 @@ def test_otsu_and_orientation_equal_their_full_frame_references(px, threshold):
             with pytest.raises(TooFewPixels):
                 estimate_orientation(view)
         else:
-            assert estimate_orientation(view) == _orientation_nonzero_reference(view)
+            assert estimate_orientation(view) == reference.orientation(view)
 
 
 # --- preprocess chain ----------------------------------------------------------------
@@ -786,76 +690,12 @@ def test_preprocess_pixels_match_the_golden_digest(bench_module):
     assert digest.hexdigest() == _GOLDEN_PREPROCESS
 
 
-# --- the trimmed stages against their previous code ------------------------------------
+# --- the trimmed stages against the references -----------------------------------------
 #
-# Each stage is compared with a copy of the code a cheaper one replaced, and
-# must give the same bytes: the 3x3 network on 2-D slices, binarize with a
-# min/max constant test and Otsu's boolean gathers (as in
-# `_otsu_bincount_reference`), the centroid by mean() (as in
-# `_orientation_nonzero_reference`), and a sampler that allocated every
-# weight, product and sum afresh.
-
-def _median3x3_previous(px):
-    def sort2(a, b):
-        return np.minimum(a, b), np.maximum(a, b)
-
-    def median3(a, b, c):
-        lo, hi = sort2(a, b)
-        return np.maximum(lo, np.minimum(hi, c))
-
-    h, w = px.shape
-    padded = np.empty((h + 2, w + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = px
-    padded[0, 1:-1], padded[-1, 1:-1] = px[0], px[-1]
-    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
-    lo, mid = sort2(padded[:-2], padded[1:-1])
-    mid, hi = sort2(mid, padded[2:])
-    lo, mid = sort2(lo, mid)
-    lows = np.maximum(np.maximum(lo[:, :-2], lo[:, 1:-1]), lo[:, 2:])
-    highs = np.minimum(np.minimum(hi[:, :-2], hi[:, 1:-1]), hi[:, 2:])
-    return median3(lows, median3(mid[:, :-2], mid[:, 1:-1], mid[:, 2:]), highs)
-
-
-def _binarize_previous(px, threshold):
-    if px.min() == px.max():
-        return np.zeros(px.shape, dtype=bool)
-    return px < (_otsu_bincount_reference(px) if threshold is None else threshold)
-
-
-def _sample_bilinear_previous(px, xs, ys, fill):
-    h, w = px.shape
-    stride = w + 3
-    padded = np.full((h + 3, stride), fill, dtype=np.uint8)
-    padded[1:h + 1, 1:w + 1] = px
-    flat = padded.ravel()
-    xs = np.clip(xs, -1.0, w)
-    ys = np.clip(ys, -1.0, h)
-    x0, y0 = np.floor(xs), np.floor(ys)
-    fx, fy = xs - x0, ys - y0
-    base = ((y0 + 1.0) * stride + (x0 + 1.0)).astype(np.intp)
-    out = np.zeros(base.shape)
-    for wy, row in ((1.0 - fy, flat), (fy, flat[stride:])):
-        for wx, taps in ((1.0 - fx, row), (fx, row[1:])):
-            out += (wy * wx) * taps.take(base)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-
-
-def _preprocess_previous(px, config):
-    """`preprocess` chaining the previous stages: the rotation samples the
-    whole frame, which the ink-bounded warp equals, and the rescale runs
-    with the previous sampler."""
-    out = (_median3x3_previous(px) if config.median_window == 3
-           else median_filter(GrayImage(px), config.median_window).pixels)
-    if config.slant_enabled:
-        mask = _binarize_previous(out, config.binarize_threshold)
-        if np.count_nonzero(mask) >= 2:
-            theta = _orientation_nonzero_reference(mask)
-            if theta != 0.0:
-                out = _full_frame(out, -theta, 1.0, 0.0, 0.0, _sample_bilinear_previous)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(imaging, "_sample_bilinear", _sample_bilinear_previous)
-        return scale_normalize(GrayImage(out), config.target_size).pixels
-
+# Each stage is a cheaper form of its definition in `reference` and must give
+# the same bytes: the median's 3x3 network on flat slices, Otsu over a
+# histogram that counts paper without gathering it, the centroid from integer
+# sums, and a sampler that writes its weights, products and sum in place.
 
 def _same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -891,14 +731,15 @@ def _stage_frames(draw):
 @example(px=np.array([[0, 255, 255]], dtype=np.uint8), threshold=None)
 @example(px=np.array([[254], [255], [254]], dtype=np.uint8), threshold=255)
 def test_trimmed_median_binarize_and_orientation_keep_the_previous_bytes(px, threshold):
-    med = median_filter(GrayImage(px), 3).pixels
-    assert med.flags.c_contiguous and _same_bytes(med, _median3x3_previous(px))
-    assert otsu_threshold(px) == _otsu_bincount_reference(px)
+    for window in (1, 3, 5):
+        med = median_filter(GrayImage(px), window).pixels
+        assert med.flags.c_contiguous and _same_bytes(med, reference.median(px, window))
+    assert otsu_threshold(px) == reference.otsu(px)
     mask = binarize(GrayImage(px), threshold)
-    assert _same_bytes(mask, _binarize_previous(px, threshold))
+    assert _same_bytes(mask, reference.binarize(px, threshold))
     for bits in (mask, mask.T, px != BACKGROUND):
         if np.count_nonzero(bits) >= 2:
-            assert _same_bytes(estimate_orientation(bits), _orientation_nonzero_reference(bits))
+            assert _same_bytes(estimate_orientation(bits), reference.orientation(bits))
 
 
 @settings(deadline=None, max_examples=200)
@@ -917,7 +758,7 @@ def test_in_place_sampler_keeps_the_previous_bytes(px, data, fill):
     for x, y in ((xs[None, :], ys[:, None]), (gx, gy), (gx[:, ::-1], gy[::-1])):
         given_x, given_y = x.copy(), y.copy()
         out = _sample_bilinear(px, x, y, fill)
-        assert _same_bytes(out, _sample_bilinear_previous(px, x, y, fill))
+        assert _same_bytes(out, reference.sample(px, x, y, fill))
         assert _same_bytes(x, given_x) and _same_bytes(y, given_y)
 
 
@@ -925,7 +766,8 @@ def test_in_place_sampler_keeps_the_previous_bytes(px, data, fill):
     PreprocessConfig(),
     PreprocessConfig(target_size=(128, 64), binarize_threshold=128),
     PreprocessConfig(median_window=1, target_size=(512, 256)),
-], ids=["default", "threshold-128-at-128x64", "median-1-at-512x256"])
+    PreprocessConfig(median_window=5, slant_enabled=False),
+], ids=["default", "threshold-128-at-128x64", "median-1-at-512x256", "median-5-no-slant"])
 def test_preprocess_keeps_the_previous_chains_bytes(bench_module, config):
     # bench scrawls, on paper of 255 and, sampled over the whole frame, of 254
     scrawl = bench_module("scrawl")
@@ -933,4 +775,4 @@ def test_preprocess_keeps_the_previous_chains_bytes(bench_module, config):
         for (px,) in scrawl.make_identities(seed, "evaluate-grid", 6, 1):
             for page in (px, np.where(px == BACKGROUND, 254, px).astype(np.uint8)):
                 assert _same_bytes(preprocess(GrayImage(page), config).pixels,
-                                   _preprocess_previous(page, config))
+                                   reference.preprocess(page, config))

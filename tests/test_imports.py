@@ -15,6 +15,9 @@ Python and numpy releases without notice.
 
 Importing the command line leaves `numpy.random` unloaded, so a fresh
 `sigfd` process pays for it only when it generates or evaluates.
+
+`tests/reference.py` takes nothing from `sigfd` but `BACKGROUND`, so no
+reference can call the live stage it is compared with.
 """
 
 import ast
@@ -97,3 +100,14 @@ def test_importing_the_cli_does_not_load_numpy_random():
                              "print([m for m in ('numpy.random', 'secrets') if m in sys.modules])"],
                             env=env, capture_output=True, text=True, timeout=60, check=True)
     assert loaded.stdout == "[]\n"
+
+
+def test_the_references_take_only_background_from_sigfd():
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".", 1)[0] == "sigfd"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".", 1)[0] == "sigfd":
+            imported |= {f"{node.module}.{a.name}" for a in node.names}
+    assert imported == {"sigfd.imaging.BACKGROUND"}

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from sigfd import wavelet
 from sigfd.errors import BadLevels, MalformedDecomposition, OddDimension
-from sigfd.imaging import GrayImage
+from sigfd.imaging import BACKGROUND, GrayImage
 from sigfd.wavelet import (DetailSet, WaveletDecomposition, WaveletFamily,
-                           _analyze, analysis_filters, approximation, dwt2_level,
-                           dwt2_multi, idwt2, subband_images)
+                           _analyze, _ink_box, _ink_plane, analysis_filters,
+                           dwt2_level, dwt2_multi, idwt2, subband_images)
 
 TAP_COUNTS = {
     WaveletFamily.HAAR: 2,
@@ -122,9 +122,14 @@ def test_odd_dimension_rejected():
         dwt2_level(np.zeros((4, 6, 2)), filters)
 
 
+def _ink_approximation(img, family, levels):
+    """The descriptor's path to the coarsest plane of `BACKGROUND - pixels`."""
+    return _ink_plane(_ink_box(img), family, levels)
+
+
 def test_bad_levels_rejected():
     img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    for fn in (dwt2_multi, approximation):
+    for fn in (dwt2_multi, _ink_approximation):
         with pytest.raises(BadLevels):
             fn(img, WaveletFamily.HAAR, 0)
         with pytest.raises(BadLevels):
@@ -149,9 +154,8 @@ def test_bad_levels_rejected():
 def test_approximation_operator_matches_dwt2_multi(family, levels, h_units, w_units, seed):
     h, w = h_units << levels, w_units << levels
     px = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
-    img = GrayImage(px)
-    approx = dwt2_multi(img, family, levels).approx
-    got = approximation(img, family, levels)
+    approx = dwt2_multi(GrayImage(BACKGROUND - px), family, levels).approx
+    got = _ink_approximation(GrayImage(px), family, levels)
     assert got.shape == approx.shape == (h >> levels, w >> levels)
     assert np.abs(got - approx).max() <= 1e-12 * np.abs(approx).max()
 
@@ -168,13 +172,13 @@ def test_approximation_operator_matches_dwt2_multi(family, levels, h_units, w_un
          seed=1)  # one row of ink along the bottom edge
 def test_approximation_of_ink_on_paper_matches_dwt2_multi(family, levels, h_units, w_units,
                                                          rows, cols, seed):
-    # `approximation` is the paper's constant plane less the ink box's plane
+    # the ink plane takes only the operators' columns over the ink's box
     h, w = h_units << levels, w_units << levels
-    px = np.full((h, w), 255, dtype=np.uint8)
+    px = np.full((h, w), BACKGROUND, dtype=np.uint8)
     box = px[slice(*sorted(rows)), slice(*sorted(cols))]
     box[...] = np.random.default_rng(seed).integers(0, 256, size=box.shape)
-    approx = dwt2_multi(GrayImage(px), family, levels).approx
-    got = approximation(GrayImage(px), family, levels)
+    approx = dwt2_multi(GrayImage(BACKGROUND - px), family, levels).approx
+    got = _ink_approximation(GrayImage(px), family, levels)
     assert got.shape == approx.shape
     assert np.abs(got - approx).max() <= 1e-12 * np.abs(approx).max()
 
