@@ -24,10 +24,9 @@ from .errors import SigfdError
 from .imaging import (_check_threshold, _check_window, _power_of_two, load_image, preprocess,
                       save_image)
 from .metrics import DEFAULT_MINKOWSKI_P, MEASURE_NAMES, DistanceMeasure
-from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, _check_seed, enroll, evaluate,
-                          generate_synthetic, identify, load_dataset,
-                          load_gallery, report_to_csv, save_dataset,
-                          save_gallery, verify)
+from .recognition import (MANIFEST_NAME, Gallery, SynthSpec, _check_config, _check_seed, enroll,
+                          evaluate, generate_synthetic, identify, load_dataset, load_gallery,
+                          report_to_csv, save_dataset, save_gallery, verify)
 from .wavelet import WaveletFamily, dwt2_multi, subband_images
 
 
@@ -128,8 +127,8 @@ def pipeline_from_args(args: argparse.Namespace,
     """Extraction parameters from the flags.
 
     Explicit flags win and the `stored` config, a gallery's or the default
-    one, supplies the rest.  A flag that disagrees with the gallery is
-    caught where the config meets the gallery (`MetaMismatch`).
+    one, supplies the rest.  `sigfd enroll` refuses a flag that disagrees
+    with a stored gallery (`MetaMismatch`).
     """
     chosen = {name: getattr(args, name) for name in ("family", "levels", "k")
               if getattr(args, name, None) is not None}
@@ -194,7 +193,9 @@ def _cmd_enroll(args) -> int:
         samples = [(Path(path).stem, load_image(path)) for path in args.images]
         if gallery is None:
             gallery = Gallery(config)
-        save_gallery(enroll(gallery, args.identity, samples, config), root)
+        else:
+            _check_config(gallery, config)
+        save_gallery(enroll(gallery, args.identity, samples), root)
     print(f"enrolled {len(args.images)} sample(s) for {args.identity}")
     return 0
 

@@ -231,21 +231,14 @@ def _otsu(hist: np.ndarray) -> int:
     return int(np.argmax(var)) + 1
 
 
-def otsu_threshold(pixels: np.ndarray) -> int:
-    """Between-class-variance-maximizing threshold in [1, 255].
-
-    Pixels strictly below the returned value are foreground.  Ties go to
-    the smallest threshold.  Caller must ensure the histogram has two
-    nonempty classes for some threshold (i.e. the image is not constant).
-    """
-    return _otsu(_histogram(np.asarray(pixels, dtype=np.uint8)))
-
-
 def binarize(img: GrayImage, threshold: int | None = None) -> np.ndarray:
     """2-D bool ink mask: pixel < threshold.  threshold=None selects Otsu's.
 
-    A constant image has no ink/paper separation under any threshold, so
-    it yields an all-False mask instead of an arbitrary split.
+    Pixels strictly below the threshold are ink.  Otsu's threshold, in
+    [1, 255], maximizes the between-class variance of the histogram, and
+    ties go to the smallest threshold.  A constant image has no ink/paper
+    separation under any threshold, so it yields an all-False mask instead
+    of an arbitrary split.
     """
     _check_threshold(threshold)
     px = img.pixels

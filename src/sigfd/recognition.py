@@ -198,20 +198,18 @@ def _check_config(gallery: Gallery, config: PipelineConfig) -> None:
         raise MetaMismatch(f"config {config} != gallery config {gallery.config}")
 
 
-def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]],
-           config: PipelineConfig) -> Gallery:
-    """Add `(sample_id, image)` pairs of one identity.
+def enroll(gallery: Gallery, identity: str, samples: list[tuple[str, GrayImage]]) -> Gallery:
+    """Add `(sample_id, image)` pairs of one identity, extracted with `gallery.config`.
 
     The new keys are checked, names first and then against every key
     already enrolled and each other, before any image is extracted.
     """
-    _check_config(gallery, config)
     names, columns = _merge_names(gallery.names, gallery.columns,
                                   (identity,) * len(samples), "identity")
     sample_names, sample_columns = _merge_names(gallery.sample_names, gallery.sample_columns,
                                                 [s for s, _ in samples], "sample_id")
     _check_codes(names, columns, sample_names, sample_columns)
-    rows = [extract_features(img, config).magnitudes for _, img in samples]
+    rows = [extract_features(img, gallery.config).magnitudes for _, img in samples]
     return Gallery._from_columns(gallery.config, names, columns, sample_names, sample_columns,
                                  np.vstack([gallery.magnitudes, *rows]))
 

@@ -1,7 +1,8 @@
-"""One slow, plainly correct reference per preprocessing stage.
+"""One slow, plainly correct reference per stage.
 
-Each parity property in the tests compares a live stage of `sigfd.imaging`
-with the definition here, byte for byte.  Nothing here imports from
+Each parity property in the tests compares a live preprocessing stage of
+`sigfd.imaging` with the definition here, byte for byte, and the fast
+transform with `spectrum` to a tolerance.  Nothing here imports from
 `sigfd` but `BACKGROUND`, so no reference can call the stage it checks.
 A new same-bits mode adds at most one reference to this module.
 """
@@ -101,3 +102,11 @@ def preprocess(px, config):
         if np.count_nonzero(bits) >= 2:
             out = warp(out, -orientation(bits), 1.0, 0.0, 0.0)
     return rescale(out, config.target_size)
+
+
+def spectrum(u):
+    """The direct normalized sum: coefficient k is the mean over t of
+    u[t] * exp(-2 pi i k t / N)."""
+    n = len(u)
+    t = np.arange(n)
+    return np.array([np.sum(u * np.exp(-2j * np.pi * k * t / n)) for k in range(n)]) / n

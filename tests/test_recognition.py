@@ -43,8 +43,7 @@ def tiny_dataset():
 def tiny_gallery(tiny_dataset):
     gallery = Gallery(CFG)
     for label, images in tiny_dataset.items():
-        gallery = enroll(gallery, label, [(f"s{i}", img) for i, img in enumerate(images[:2])],
-                         CFG)
+        gallery = enroll(gallery, label, [(f"s{i}", img) for i, img in enumerate(images[:2])])
     return gallery
 
 
@@ -52,7 +51,7 @@ def tiny_gallery(tiny_dataset):
 
 def test_enroll_is_copy_on_write(tiny_dataset):
     g0 = Gallery(CFG)
-    g1 = enroll(g0, "a", [("s0", tiny_dataset["id000"][0])], CFG)
+    g1 = enroll(g0, "a", [("s0", tiny_dataset["id000"][0])])
     assert len(g0.templates) == 0
     assert len(g1.templates) == 1
     assert g1.templates[0].identity == "a"
@@ -61,7 +60,7 @@ def test_enroll_is_copy_on_write(tiny_dataset):
 
 def test_enroll_takes_a_batch_in_order(tiny_dataset, tiny_gallery):
     images = tiny_dataset["id001"]
-    g = enroll(tiny_gallery, "new", [("b", images[2]), ("a", images[3])], CFG)
+    g = enroll(tiny_gallery, "new", [("b", images[2]), ("a", images[3])])
     assert g.identities == tiny_gallery.identities + ("new", "new")
     assert g.sample_ids == tiny_gallery.sample_ids + ("b", "a")
     assert g.names == ("id000", "id001", "id002", "new")
@@ -69,19 +68,19 @@ def test_enroll_takes_a_batch_in_order(tiny_dataset, tiny_gallery):
     want = np.vstack([tiny_gallery.magnitudes] +
                      [extract_features(img, CFG).magnitudes for img in images[2:4]])
     assert g.magnitudes.tobytes() == want.tobytes()
-    assert enroll(g, "new", [], CFG).magnitudes.tobytes() == want.tobytes()
+    assert enroll(g, "new", []).magnitudes.tobytes() == want.tobytes()
 
 
 def test_enroll_rejects_duplicates(tiny_dataset):
     img = tiny_dataset["id000"][0]
-    g = enroll(Gallery(CFG), "a", [("s0", img)], CFG)
+    g = enroll(Gallery(CFG), "a", [("s0", img)])
     with pytest.raises(DuplicateSample):
-        enroll(g, "a", [("s0", img)], CFG)
+        enroll(g, "a", [("s0", img)])
     # twice within one batch
     with pytest.raises(DuplicateSample):
-        enroll(Gallery(CFG), "a", [("s0", img), ("s0", img)], CFG)
+        enroll(Gallery(CFG), "a", [("s0", img), ("s0", img)])
     # same sample id under another identity is fine
-    g2 = enroll(g, "b", [("s0", img)], CFG)
+    g2 = enroll(g, "b", [("s0", img)])
     assert g2.names == ("a", "b")
 
 
@@ -94,25 +93,19 @@ def test_enroll_checks_keys_before_extracting_any_image(tiny_dataset, tiny_galle
                            wraps=recognition.extract_features) as extract:
         for identity, samples, error in batches:
             with pytest.raises(error):
-                enroll(tiny_gallery, identity, samples, CFG)
+                enroll(tiny_gallery, identity, samples)
         assert extract.call_count == 0
-        enroll(tiny_gallery, "new", [("s9", img)], CFG)
+        enroll(tiny_gallery, "new", [("s9", img)])
         assert extract.call_count == 1
-
-
-def test_enroll_rejects_meta_mismatch(tiny_dataset):
-    other = PipelineConfig(levels=2)
-    with pytest.raises(MetaMismatch):
-        enroll(Gallery(CFG), "a", [("s0", tiny_dataset["id000"][0])], other)
 
 
 def test_enroll_rejects_unsafe_names(tiny_dataset):
     img = tiny_dataset["id000"][0]
     for bad in ("", "a/b", ".hidden", "x y"):
         with pytest.raises(ValueError, match="identity"):
-            enroll(Gallery(CFG), bad, [("s0", img)], CFG)
+            enroll(Gallery(CFG), bad, [("s0", img)])
         with pytest.raises(ValueError, match="sample_id"):
-            enroll(Gallery(CFG), "a", [("s0", img), (bad, img)], CFG)
+            enroll(Gallery(CFG), "a", [("s0", img), (bad, img)])
 
 
 _OUT_OF_RANGE = (np.nan, -1.0, np.inf)
@@ -143,7 +136,7 @@ def test_gallery_constructor_enforces_invariants(tiny_gallery):
             Gallery(CFG, (t, Template("id000", "late", fd)))
 
 
-def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery, fuzz_v3):
+def test_column_constructor_enforces_invariants(tiny_gallery, fuzz_v3):
     g = tiny_gallery
     keys = (g.config, g.identities, g.sample_ids, g.magnitudes)
     assert Gallery._from_keys(*keys).names == g.names
@@ -177,10 +170,6 @@ def test_column_constructor_enforces_invariants(tiny_dataset, tiny_gallery, fuzz
     for names, columns in ((b"bo\nann\n", (0, 0, 1)), (b"ann\nann\nbo\n", (1, 1, 2))):
         with pytest.raises(FormatError, match="strictly increasing"):
             _load_manifest(fuzz_v3[0], _v3(names=names, columns=columns))
-    # enroll is the column constructor's public caller; its config must match
-    with pytest.raises(MetaMismatch):
-        enroll(g, "new", [("s0", tiny_dataset["id000"][0])],
-               PipelineConfig(family=WaveletFamily.HAAR))
 
 
 def test_gallery_is_immutable(tiny_gallery):
@@ -220,7 +209,7 @@ def test_identify_tie_breaks_lexicographically(tiny_dataset):
     img = tiny_dataset["id000"][0]
     gallery = Gallery(CFG)
     for ident in ("zeta", "beta"):
-        gallery = enroll(gallery, ident, [("s0", img)], CFG)
+        gallery = enroll(gallery, ident, [("s0", img)])
     result = identify(gallery, img, MANHATTAN, CFG)
     assert result.identity == "beta"
     assert result.ranking[0][1] == result.ranking[1][1]
@@ -231,10 +220,10 @@ def test_identify_is_enrollment_order_invariant(tiny_dataset):
                for i, img in enumerate(imgs[:2])]
     forward = Gallery(CFG)
     for label, i, img in samples:
-        forward = enroll(forward, label, [(f"s{i}", img)], CFG)
+        forward = enroll(forward, label, [(f"s{i}", img)])
     backward = Gallery(CFG)
     for label, i, img in reversed(samples):
-        backward = enroll(backward, label, [(f"s{i}", img)], CFG)
+        backward = enroll(backward, label, [(f"s{i}", img)])
     probe = tiny_dataset["id001"][3]
     assert identify(forward, probe, MANHATTAN, CFG).ranking == \
         identify(backward, probe, MANHATTAN, CFG).ranking
@@ -254,7 +243,7 @@ def test_identify_meta_mismatch(tiny_dataset, tiny_gallery):
 def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_dataset):
     no_slant = PipelineConfig(preprocess=PreprocessConfig(slant_enabled=False))
     img = tiny_dataset["id000"][0]
-    gallery = enroll(Gallery(no_slant), "a", [("s0", img)], no_slant)
+    gallery = enroll(Gallery(no_slant), "a", [("s0", img)])
     assert gallery.config == no_slant
     assert gallery.magnitudes.tobytes() == extract_features(img, no_slant).magnitudes.tobytes()
     assert identify(gallery, img, MANHATTAN, no_slant).distance == 0.0
@@ -266,8 +255,13 @@ def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_datase
             identify(gallery, img, MANHATTAN, config)
         with pytest.raises(MetaMismatch, match=message):
             verify(gallery, "a", img, MANHATTAN, 1.0, config)
-        with pytest.raises(MetaMismatch, match=message):
-            enroll(gallery, "b", [("s0", img)], config)
+    # a later enrollment is extracted with the gallery's config, not the default
+    other = tiny_dataset["id001"][0]
+    want = extract_features(other, no_slant).magnitudes
+    assert want.tobytes() != extract_features(other, CFG).magnitudes.tobytes()
+    assert enroll(gallery, "b", [("s0", other)]).magnitudes[1].tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        enroll(gallery, "b", [("s0", other)], no_slant)  # enroll takes no config
     # a gallery holds the very config it was built with
     assert Gallery(no_slant).config is no_slant
 
@@ -840,7 +834,7 @@ def test_load_and_save_check_each_distinct_name_once(tmp_path, tiny_dataset):
             _assert_same_gallery(build(), gallery)
         assert pattern.match.call_count == 100 + 10
     with mock.patch.object(recognition, "_check_name", wraps=recognition._check_name) as check:
-        bigger = enroll(gallery, "new", [("s0", tiny_dataset["id000"][0])], _FUZZ_CONFIG)
+        bigger = enroll(gallery, "new", [("s0", tiny_dataset["id000"][0])])
     assert [c.args for c in check.call_args_list] == [("new", "identity"), ("s0", "sample_id")]
     assert bigger.names == gallery.names + ("new",)
 
@@ -857,7 +851,7 @@ def test_failed_save_keeps_the_previous_manifest(tmp_path, tiny_dataset, tiny_ga
     root = tmp_path / "gal"
     save_gallery(tiny_gallery, root)
     before = (root / "MANIFEST.siggal").read_bytes()
-    bigger = enroll(tiny_gallery, "id000", [("s2", tiny_dataset["id000"][2])], CFG)
+    bigger = enroll(tiny_gallery, "id000", [("s2", tiny_dataset["id000"][2])])
     write_bytes = Path.write_bytes
 
     def write_half(self, data):
