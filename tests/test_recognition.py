@@ -99,6 +99,19 @@ def test_enroll_checks_keys_before_extracting_any_image(tiny_dataset, tiny_galle
         assert extract.call_count == 1
 
 
+def test_enroll_takes_no_config(tiny_dataset, tiny_gallery):
+    # the gallery's own config is the only one enroll extracts with, so a
+    # config passed either way is a TypeError before any image is extracted
+    img = tiny_dataset["id000"][0]
+    with mock.patch.object(recognition, "extract_features",
+                           wraps=recognition.extract_features) as extract:
+        with pytest.raises(TypeError):
+            enroll(tiny_gallery, "new", [("s9", img)], CFG)
+        with pytest.raises(TypeError):
+            enroll(tiny_gallery, "new", [("s9", img)], config=CFG)
+        assert extract.call_count == 0
+
+
 def test_enroll_rejects_unsafe_names(tiny_dataset):
     img = tiny_dataset["id000"][0]
     for bad in ("", "a/b", ".hidden", "x y"):
@@ -260,8 +273,6 @@ def test_probes_and_enrollments_must_share_the_gallery_preprocessing(tiny_datase
     want = extract_features(other, no_slant).magnitudes
     assert want.tobytes() != extract_features(other, CFG).magnitudes.tobytes()
     assert enroll(gallery, "b", [("s0", other)]).magnitudes[1].tobytes() == want.tobytes()
-    with pytest.raises(TypeError):
-        enroll(gallery, "b", [("s0", other)], no_slant)  # enroll takes no config
     # a gallery holds the very config it was built with
     assert Gallery(no_slant).config is no_slant
 
